@@ -31,7 +31,8 @@ bench-json:
 
 # Fast correctness gate over the kernel and symmetry-breaking ablations:
 # runs the reduced-size grids and fails on any count disagreement between
-# the kernel families or between restricted and unrestricted plans.
+# the scalar and adaptive kernels or between restricted and unrestricted
+# plans.
 bench-smoke:
 	$(GO) run ./cmd/ohmbench -exp kern,sym -quick
 
@@ -86,9 +87,9 @@ stream-smoke:
 # panics, full-disk runs, the cluster's kill/zombie scenarios, and the
 # coordinator's own WAL crash/restart (kill-after-kth-record and torn
 # append) must all recover (or refuse) with exact counts,
-# race-instrumented, on both scheduler paths (see docs/ROBUSTNESS.md and
-# docs/DISTRIBUTED.md). The stream leg crashes a snapshotting miner
-# mid-feed and resumes it from the last durable snapshot.
+# race-instrumented (see docs/ROBUSTNESS.md and docs/DISTRIBUTED.md). The
+# stream leg crashes a snapshotting miner mid-feed and resumes it from the
+# last durable snapshot.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/engine ./internal/cluster ./internal/stream
 

@@ -106,9 +106,9 @@ func BenchmarkMineVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelAblation compares the fast (SIMD stand-in) and scalar set
-// kernels on the same workload — the "OHMiner without SIMD" data point of
-// Sec. 5.2.
+// BenchmarkKernelAblation compares the adaptive set kernels Mine runs by
+// default with the scalar family on the same workload — the "OHMiner
+// without SIMD" data point of Sec. 5.2.
 func BenchmarkKernelAblation(b *testing.B) {
 	store, err := benchContext().Dataset("WT")
 	if err != nil {
@@ -120,7 +120,7 @@ func BenchmarkKernelAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := pats[0]
-	for _, k := range []intset.Kernel{intset.Fast, intset.Scalar} {
+	for _, k := range []intset.Kernel{intset.Adaptive, intset.Scalar} {
 		b.Run(k.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := engine.Mine(store, p, engine.Options{Kernel: k, Workers: 1}); err != nil {

@@ -71,8 +71,7 @@ func run() error {
 		dense    = flag.Bool("dense", false, "with -sample: require every hyperedge pair to overlap")
 		variant  = flag.String("variant", "OHMiner", "engine variant: OHMiner, OHM-G, OHM-V, OHM-I, HGMatch")
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		kern     = flag.String("kernel", "adaptive", "set-kernel family: adaptive (density-aware containers), fast (static gallop), scalar (no-SIMD ablation)")
-		scalar   = flag.Bool("scalar", false, "shorthand for -kernel scalar")
+		kern     = flag.String("kernel", "adaptive", "set-kernel family: adaptive (density-aware containers), scalar (no-SIMD ablation)")
 		limit    = flag.Uint64("limit", 0, "stop after this many ordered embeddings (0 = all)")
 		seed     = flag.Int64("seed", 1, "sampling seed")
 		showPlan = flag.Bool("plan", false, "print the compiled execution plan")
@@ -121,10 +120,8 @@ func run() error {
 	}
 	fmt.Fprintln(os.Stderr, "data:", h)
 
-	t0 := time.Now()
 	store := dal.Build(h)
 	fmt.Fprintf(os.Stderr, "dal: built in %v (%.1f MB)\n", store.BuildTime().Round(time.Millisecond), float64(store.MemoryBytes())/(1<<20))
-	_ = t0
 
 	var p *pattern.Pattern
 	switch {
@@ -152,9 +149,6 @@ func run() error {
 		return err
 	}
 	opts := engine.Options{Gen: v.Gen, Val: v.Val, Workers: *workers, Limit: *limit}
-	if *scalar {
-		*kern = "scalar"
-	}
 	if opts.Kernel, err = kernelByName(*kern); err != nil {
 		return err
 	}

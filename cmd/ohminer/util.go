@@ -14,10 +14,8 @@ func kernelByName(name string) (intset.Kernel, error) {
 	switch name {
 	case "adaptive":
 		return intset.Adaptive, nil
-	case "fast":
-		return intset.Fast, nil
 	case "scalar":
 		return intset.Scalar, nil
 	}
-	return intset.Kernel{}, fmt.Errorf("unknown -kernel %q (have adaptive, fast, scalar)", name)
+	return intset.Kernel{}, fmt.Errorf("unknown -kernel %q (have adaptive, scalar)", name)
 }

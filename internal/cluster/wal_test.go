@@ -10,7 +10,6 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -38,87 +37,85 @@ func durableCluster(t *testing.T, store *dal.Store, dir string, clk *fakeClock) 
 // until the test stops using it.
 func crash(c *Coordinator) { c.wal.kill() }
 
-// TestWALReplayThenMergeExactlyOnce is the headline durability contract on
-// both scheduler paths: a coordinator dies with one task merged and another
-// leased out; the restarted coordinator replays its state, resurrects the
-// in-flight lease as pending (same epoch), salvages the pre-crash worker's
-// late report exactly once, fences a duplicate of the already-merged report,
-// and finishes with single-node-exact counts.
+// TestWALReplayThenMergeExactlyOnce is the headline durability contract: a
+// coordinator dies with one task merged and another leased out; the
+// restarted coordinator replays its state, resurrects the in-flight lease as
+// pending (same epoch), salvages the pre-crash worker's late report exactly
+// once, fences a duplicate of the already-merged report, and finishes with
+// single-node-exact counts.
 func TestWALReplayThenMergeExactlyOnce(t *testing.T) {
-	for _, split := range []int{0, -1} {
-		t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
-			store, pat, want := starWorkload(t)
-			dir := t.TempDir()
-			clk := newFakeClock()
+	t.Run("split=0", func(t *testing.T) {
+		store, pat, want := starWorkload(t)
+		dir := t.TempDir()
+		clk := newFakeClock()
 
-			c1, srv1 := durableCluster(t, store, dir, clk)
-			if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
-				t.Fatalf("start job: %v", err)
-			}
-			merged := leaseAs(t, srv1, store, "w1")
-			if merged == nil {
-				t.Fatal("no lease granted")
-			}
-			mergedRep := mineLease(t, store, merged, split)
-			mergedRep.Worker = "w1"
-			if code := postJSON(t, srv1, "/cluster/report", mergedRep, nil); code != http.StatusOK {
-				t.Fatalf("report: status %d", code)
-			}
-			inflight := leaseAs(t, srv1, store, "w1")
-			if inflight == nil {
-				t.Fatal("no second lease granted")
-			}
-			// The worker mines the in-flight lease… and the coordinator dies.
-			inflightRep := mineLease(t, store, inflight, split)
-			inflightRep.Worker = "w1"
-			crash(c1)
+		c1, srv1 := durableCluster(t, store, dir, clk)
+		if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+			t.Fatalf("start job: %v", err)
+		}
+		merged := leaseAs(t, srv1, store, "w1")
+		if merged == nil {
+			t.Fatal("no lease granted")
+		}
+		mergedRep := mineLease(t, store, merged)
+		mergedRep.Worker = "w1"
+		if code := postJSON(t, srv1, "/cluster/report", mergedRep, nil); code != http.StatusOK {
+			t.Fatalf("report: status %d", code)
+		}
+		inflight := leaseAs(t, srv1, store, "w1")
+		if inflight == nil {
+			t.Fatal("no second lease granted")
+		}
+		// The worker mines the in-flight lease… and the coordinator dies.
+		inflightRep := mineLease(t, store, inflight)
+		inflightRep.Worker = "w1"
+		crash(c1)
 
-			c2, srv2 := durableCluster(t, store, dir, clk)
-			st, ok := c2.JobStatusByID("j")
-			if !ok {
-				t.Fatal("job lost across restart")
-			}
-			if st.State != "running" || st.Done != 1 || st.Ordered != mergedRep.Ordered {
-				t.Fatalf("replayed job: state=%s done=%d ordered=%d, want running/1/%d",
-					st.State, st.Done, st.Ordered, mergedRep.Ordered)
-			}
-			if st.Leased != 0 {
-				t.Fatalf("replayed job still shows %d leased tasks; all leases must be force-expired", st.Leased)
-			}
-			cst := c2.Status()
-			if cst.ReplayedJobs != 1 || cst.ResurrectedLeases != 1 {
-				t.Fatalf("recovery counters: replayed=%d resurrected=%d, want 1/1", cst.ReplayedJobs, cst.ResurrectedLeases)
-			}
-			if !cst.Durable {
-				t.Fatal("durable coordinator reports durable=false")
-			}
+		c2, srv2 := durableCluster(t, store, dir, clk)
+		st, ok := c2.JobStatusByID("j")
+		if !ok {
+			t.Fatal("job lost across restart")
+		}
+		if st.State != "running" || st.Done != 1 || st.Ordered != mergedRep.Ordered {
+			t.Fatalf("replayed job: state=%s done=%d ordered=%d, want running/1/%d",
+				st.State, st.Done, st.Ordered, mergedRep.Ordered)
+		}
+		if st.Leased != 0 {
+			t.Fatalf("replayed job still shows %d leased tasks; all leases must be force-expired", st.Leased)
+		}
+		cst := c2.Status()
+		if cst.ReplayedJobs != 1 || cst.ResurrectedLeases != 1 {
+			t.Fatalf("recovery counters: replayed=%d resurrected=%d, want 1/1", cst.ReplayedJobs, cst.ResurrectedLeases)
+		}
+		if !cst.Durable {
+			t.Fatal("durable coordinator reports durable=false")
+		}
 
-			// The pre-crash worker's report arrives late: epoch still matches
-			// the resurrected (pending) task, so the work is salvaged.
-			if code := postJSON(t, srv2, "/cluster/report", inflightRep, nil); code != http.StatusOK {
-				t.Fatalf("salvage report after restart: status %d", code)
-			}
-			// A duplicate of the pre-crash merged report must be fenced: that
-			// task was already counted, replay included.
-			if code := postJSON(t, srv2, "/cluster/report", mergedRep, nil); code != http.StatusGone {
-				t.Fatalf("duplicate report: status %d, want 410", code)
-			}
-			drainJob(t, srv2, store, "w2", split)
-			st, _ = c2.JobStatusByID("j")
-			if st.State != "done" || st.Ordered != want {
-				t.Fatalf("after restart: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
-			}
+		// The pre-crash worker's report arrives late: epoch still matches
+		// the resurrected (pending) task, so the work is salvaged.
+		if code := postJSON(t, srv2, "/cluster/report", inflightRep, nil); code != http.StatusOK {
+			t.Fatalf("salvage report after restart: status %d", code)
+		}
+		// A duplicate of the pre-crash merged report must be fenced: that
+		// task was already counted, replay included.
+		if code := postJSON(t, srv2, "/cluster/report", mergedRep, nil); code != http.StatusGone {
+			t.Fatalf("duplicate report: status %d, want 410", code)
+		}
+		drainJob(t, srv2, store, "w2")
+		st, _ = c2.JobStatusByID("j")
+		if st.State != "done" || st.Ordered != want {
+			t.Fatalf("after restart: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
+		}
 
-			// Third incarnation: the finished job survives compaction and
-			// another replay with the same exact count.
-			c2.Close()
-			c3, _ := durableCluster(t, store, dir, clk)
-			st, ok = c3.JobStatusByID("j")
-			if !ok || st.State != "done" || st.Ordered != want {
-				t.Fatalf("second restart: ok=%v state=%s ordered=%d, want done/%d", ok, st.State, st.Ordered, want)
-			}
-		})
-	}
+		// Third incarnation: the finished job survives compaction and
+		// another replay with the same exact count.
+		c2.Close()
+		c3, _ := durableCluster(t, store, dir, clk)
+		st, ok = c3.JobStatusByID("j")
+		if !ok || st.State != "done" || st.Ordered != want {
+			t.Fatalf("second restart: ok=%v state=%s ordered=%d, want done/%d", ok, st.State, st.Ordered, want)
+		}
+	})
 }
 
 // TestWALTornFinalRecordTolerated crashes mid-append: a torn final frame
@@ -247,7 +244,7 @@ func TestWALSnapshotCompactionEquivalence(t *testing.T) {
 	if _, err := c1.StartJob("j1", JobSpec{Pattern: pat}); err != nil {
 		t.Fatal(err)
 	}
-	drainJob(t, srv1, store, "w1", 0)
+	drainJob(t, srv1, store, "w1")
 	r1, _, comp1 := c1.wal.stats()
 	if comp1 == 0 {
 		t.Fatalf("job completion did not compact the WAL (records=%d)", r1)
@@ -257,7 +254,7 @@ func TestWALSnapshotCompactionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	lease := leaseAs(t, srv1, store, "w1")
-	rep := mineLease(t, store, lease, 0)
+	rep := mineLease(t, store, lease)
 	rep.Worker = "w1"
 	if code := postJSON(t, srv1, "/cluster/report", rep, nil); code != http.StatusOK {
 		t.Fatalf("report: status %d", code)
@@ -278,7 +275,7 @@ func TestWALSnapshotCompactionEquivalence(t *testing.T) {
 	if after2.State != before2.State || after2.Ordered != before2.Ordered || after2.Done != before2.Done || after2.Parts != before2.Parts {
 		t.Fatalf("j2 (snapshot+log) diverged: %+v -> %+v", before2, after2)
 	}
-	drainJob(t, srv2, store, "w2", 0)
+	drainJob(t, srv2, store, "w2")
 	final, _ := c2.JobStatusByID("j2")
 	if final.State != "done" || final.Ordered != want {
 		t.Fatalf("j2 after restart: state=%s ordered=%d, want done/%d", final.State, final.Ordered, want)
@@ -341,7 +338,7 @@ func TestWALNoSpaceDegradesThenHeals(t *testing.T) {
 	if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
 		t.Fatalf("start job after heal: %v", err)
 	}
-	drainJob(t, srv, store, "w1", 0)
+	drainJob(t, srv, store, "w1")
 	st, _ := c.JobStatusByID("j")
 	if st.State != "done" || st.Ordered != want {
 		t.Fatalf("after heal: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ohminer/internal/dal"
@@ -10,8 +12,8 @@ import (
 	"ohminer/internal/pattern"
 )
 
-// TestCanonicalEmissionCount: with UniqueOnly, the callback fires exactly
-// Unique times, once per unordered embedding.
+// TestCanonicalEmissionCount: on the default symmetry-broken plan the
+// callback fires exactly Unique times, once per unordered embedding.
 func TestCanonicalEmissionCount(t *testing.T) {
 	h := hypergraph.MustBuild(8, [][]uint32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
@@ -19,11 +21,14 @@ func TestCanonicalEmissionCount(t *testing.T) {
 	store := dal.Build(h)
 	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil) // 2 automorphisms
 	var emitted [][]uint32
-	res, err := Mine(store, p, Options{Workers: 1, UniqueOnly: true, OnEmbedding: func(c []uint32) {
+	res, err := Mine(store, p, Options{Workers: 1, OnEmbedding: func(c []uint32) {
 		emitted = append(emitted, append([]uint32(nil), c...))
 	}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !res.Restricted {
+		t.Fatal("default plan for a symmetric pattern is not symmetry-broken")
 	}
 	if res.Ordered != 6 || res.Unique != 3 {
 		t.Fatalf("ordered=%d unique=%d", res.Ordered, res.Unique)
@@ -31,30 +36,29 @@ func TestCanonicalEmissionCount(t *testing.T) {
 	if len(emitted) != int(res.Unique) {
 		t.Fatalf("emitted %d canonical tuples, want %d", len(emitted), res.Unique)
 	}
-	// No two emitted tuples may be automorphic images of each other: as
-	// sets they must be distinct.
-	seen := map[[3]uint32]bool{}
+	requireNonAutomorphic(t, emitted)
+}
+
+// requireNonAutomorphic fails if two emitted tuples are automorphic images
+// of each other. Such images bind the same hyperedges in a different order,
+// so as sets the tuples must all be distinct.
+func requireNonAutomorphic(t *testing.T, emitted [][]uint32) {
+	t.Helper()
+	seen := map[string]bool{}
 	for _, c := range emitted {
-		key := [3]uint32{c[0], c[1], c[2]}
-		// normalize by sorting
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
-		if key[1] > key[2] {
-			key[1], key[2] = key[2], key[1]
-		}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
+		sorted := slices.Clone(c)
+		slices.Sort(sorted)
+		key := fmt.Sprint(sorted)
 		if seen[key] {
-			t.Fatalf("duplicate unordered embedding %v", key)
+			t.Fatalf("tuple %v repeats the unordered embedding %s", c, key)
 		}
 		seen[key] = true
 	}
 }
 
-// TestCanonicalEmissionRandom: canonical emission count equals Unique on
-// random workloads with symmetric patterns, for both 1 and 3 workers.
+// TestCanonicalEmissionRandom: on random workloads with symmetric patterns
+// the default plan's emission count equals Unique and no two emitted tuples
+// are automorphic, for both 1 and 3 workers.
 func TestCanonicalEmissionRandom(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "c", NumVertices: 80, NumEdges: 250,
 		Communities: 5, MemberOverlap: 1, EdgeSizeMin: 2, EdgeSizeMax: 5, EdgeSizeMean: 3, Seed: 91})
@@ -70,16 +74,20 @@ func TestCanonicalEmissionRandom(t *testing.T) {
 			checkedSymmetric = true
 		}
 		for _, workers := range []int{1, 3} {
-			emitted := 0
-			res, err := Mine(store, p, Options{Workers: workers, UniqueOnly: true,
-				OnEmbedding: func([]uint32) { emitted++ }})
+			var emitted [][]uint32
+			res, err := Mine(store, p, Options{Workers: workers,
+				OnEmbedding: func(c []uint32) { emitted = append(emitted, append([]uint32(nil), c...)) }})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if uint64(emitted) != res.Unique {
-				t.Fatalf("trial %d workers=%d: emitted %d want %d (aut=%d, pattern %s)",
-					trial, workers, emitted, res.Unique, res.Automorphisms, p)
+			if res.Restricted != (p.Automorphisms() > 1) {
+				t.Fatalf("trial %d: Restricted=%v for |Aut|=%d", trial, res.Restricted, p.Automorphisms())
 			}
+			if uint64(len(emitted)) != res.Unique {
+				t.Fatalf("trial %d workers=%d: emitted %d want %d (aut=%d, pattern %s)",
+					trial, workers, len(emitted), res.Unique, res.Automorphisms, p)
+			}
+			requireNonAutomorphic(t, emitted)
 		}
 	}
 	if !checkedSymmetric {

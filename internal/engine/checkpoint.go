@@ -179,30 +179,21 @@ func (e *shared) buildSnapshot(seq uint64, frontier []task, ordered uint64, stat
 }
 
 // collectFrontier gathers every unexplored subtree after a quiesce: the
-// remainders each worker saved while unwinding, plus whatever never left
-// the distribution structures — queued deque and overflow tasks on the
-// work-stealing path, or the unclaimed tail of the round's item list on the
-// legacy path. Together these partition the unexplored search space.
-func (e *shared) collectFrontier(ws []*worker, rs roundState, first []uint32, tasks []task) []task {
+// remainders each worker saved while unwinding, plus the queued deque and
+// overflow tasks that never left the scheduler. Together these partition
+// the unexplored search space.
+func (e *shared) collectFrontier(ws []*worker, sched *scheduler) []task {
 	var out []task
 	for _, w := range ws {
 		out = append(out, w.saved...)
 		w.saved = nil
 	}
-	if rs.sched != nil {
-		for i := range rs.sched.deques {
-			out = rs.sched.deques[i].drainTasks(out)
-		}
-		rs.sched.ovMu.Lock()
-		out = append(out, rs.sched.overflow...)
-		rs.sched.overflow = nil
-		rs.sched.ovMu.Unlock()
-		return out
+	for i := range sched.deques {
+		out = sched.deques[i].drainTasks(out)
 	}
-	if tasks != nil {
-		out = append(out, tasks[rs.claimed:]...)
-	} else if int(rs.claimed) < len(first) {
-		out = append(out, task{cands: append([]uint32(nil), first[rs.claimed:]...)})
-	}
+	sched.ovMu.Lock()
+	out = append(out, sched.overflow...)
+	sched.overflow = nil
+	sched.ovMu.Unlock()
 	return out
 }

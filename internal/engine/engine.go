@@ -16,7 +16,7 @@
 // skewed subtrees no longer serialize. Each worker owns all its scratch
 // state, so the steady-state hot path allocates nothing. The intset kernel
 // choice reproduces the SIMD ablation: Adaptive (density-aware containers,
-// the default) vs Fast (static gallop/merge) vs Scalar (textbook merge).
+// the default) vs Scalar (textbook merge).
 package engine
 
 import (
@@ -118,8 +118,8 @@ type Options struct {
 	Val ValMode
 	// Kernel selects the set-operation family; the zero value means
 	// intset.Adaptive (density-aware containers with SWAR bitmap kernels and
-	// rarest-first k-way intersection). Pass intset.Fast to pin the static
-	// gallop/merge family, or intset.Scalar for the no-SIMD ablation.
+	// rarest-first k-way intersection). Pass intset.Scalar for the no-SIMD
+	// ablation.
 	Kernel intset.Kernel
 	// Workers is the goroutine count; ≤0 means GOMAXPROCS.
 	Workers int
@@ -144,13 +144,6 @@ type Options struct {
 	// undercounts. Used by the benchmark harness to bound combinatorially
 	// exploding cells.
 	Deadline time.Duration
-	// UniqueOnly filters OnEmbedding to one canonical tuple per unordered
-	// embedding: the callback fires only when the tuple is the
-	// lexicographically smallest among its automorphic reorderings.
-	// Ordered/Unique counts are unaffected. Symmetry-broken plans already
-	// enumerate exactly that canonical tuple, so the filter is a no-op (and
-	// skipped) for them.
-	UniqueOnly bool
 	// NoSymmetryBreak compiles the plan without symmetry-breaking
 	// restrictions, so every ordered tuple is enumerated — |Aut(P)| per
 	// unordered embedding. The ablation baseline of the sym experiment;
@@ -168,17 +161,6 @@ type Options struct {
 	// incremental miner to count embeddings touching newly inserted
 	// hyperedges exactly once).
 	PositionFilter func(pos int, edge uint32) bool
-	// SplitDepth bounds how deep in the search tree workers publish
-	// untouched sibling candidate ranges for work stealing: positions
-	// t < SplitDepth are splittable. 0 selects the default (the first two
-	// levels); negative values disable the work-stealing scheduler and fall
-	// back to first-level-only dynamic distribution — the pre-scheduler
-	// behavior, kept as an ablation baseline.
-	SplitDepth int
-	// SplitThreshold is the minimum number of unexplored candidates that
-	// must remain at a splittable position before half of them are
-	// published (0 = default 4). Lower values split more aggressively.
-	SplitThreshold int
 	// Checkpoint, when set, makes the run crash-safe: on the CheckpointEvery
 	// timer — and on every final stop (cancellation, deadline, limit) — the
 	// driver quiesces the workers at their per-candidate stop check,
@@ -191,6 +173,12 @@ type Options struct {
 	// CheckpointEvery is the quiesce period (0 = only on final stops).
 	// Ignored without Checkpoint.
 	CheckpointEvery time.Duration
+
+	// splitThreshold is the minimum number of unexplored candidates that
+	// must remain at a splittable position before half of them are
+	// published (0 = defaultSplitThreshold). Tests lower it to force
+	// publication and steals on small inputs.
+	splitThreshold int
 }
 
 // Stats carries the instrumentation counters behind Fig. 3.
@@ -341,8 +329,9 @@ func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error
 }
 
 // MineWithPlanContext is MineWithPlan with caller-controlled cancellation.
-// The ctx-done branch is merged into the engine's single shared stop flag,
-// so the mining hot path still pays exactly one atomic load per candidate
+// Cancellation, the deadline, and the checkpoint period all end the round
+// context, whose expiry sets the engine's single shared stop flag, so the
+// mining hot path still pays exactly one atomic load per candidate
 // regardless of whether a deadline, a limit, or a context is in play. On
 // cancellation the partial Result is returned along with ctx.Err().
 func MineWithPlanContext(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Options) (Result, error) {
@@ -404,11 +393,6 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	e := &shared{store: store, plan: plan, opts: opts, kernel: kernel}
 	e.splitDepth, e.splitThreshold = splitParams(plan, opts)
 	e.saveOnStop = opts.Checkpoint != nil
-	if opts.UniqueOnly && opts.OnEmbedding != nil && !plan.Restricted {
-		// Restricted plans enumerate only canonical tuples; the filter
-		// would accept every one of them, so it is skipped.
-		e.autoPerms = plan.Pattern.AutomorphismPerms()[1:]
-	}
 
 	// autFactor maps between the enumerated-tuple space the workers count in
 	// and the ordered-embedding space snapshots and results report: a
@@ -477,31 +461,16 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		return res
 	}
 
+	// runCtx ends on caller cancellation or when the deadline fires; it
+	// outlives the between-round flag reset of checkpointed runs, so the
+	// driver consults runCtx.Err() to tell "quiesce for a checkpoint" from a
+	// final stop. A fired deadline is not an error: only ctx.Err() is
+	// returned, and the cut-short run reports Truncated.
+	runCtx := ctx
 	if opts.Deadline > 0 {
-		// A single timer goroutine flips the shared flag; workers check it
-		// with one atomic load per candidate instead of calling time.Now on
-		// the hot path. The deadlineHit latch survives the between-round
-		// flag reset of checkpointed runs.
-		timer := time.AfterFunc(opts.Deadline, func() {
-			e.deadlineHit.Store(true)
-			e.stopped.Store(true)
-		})
-		defer timer.Stop()
-	}
-	if done := ctx.Done(); done != nil {
-		// The context watcher merges cancellation into the same stop flag
-		// the deadline and limit use — no extra hot-path check. Between
-		// rounds the driver consults ctx.Err() directly, so the one-shot
-		// store cannot be lost to a flag reset.
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-done:
-				e.stopped.Store(true)
-			case <-finished:
-			}
-		}()
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithTimeoutCause(ctx, opts.Deadline, errDeadline)
+		defer cancel()
 	}
 
 	var first []uint32
@@ -529,44 +498,29 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	)
 	for round := 0; ; round++ {
 		if round > 0 {
-			// Reset the stop flag for the next round, then latch any final
-			// condition that raced the reset: the ordering (reset first,
-			// check after) guarantees a cancellation or deadline that fired
-			// in the gap is either still visible in the flag or visible in
-			// the latches checked here.
+			// Reset the stop flag for the next round, then check for a final
+			// stop that raced the reset: runCtx stays done once it is, so a
+			// cancellation or deadline that fired in the gap is seen here.
 			e.stopped.Store(false)
-			if ctx.Err() != nil || e.deadlineHit.Load() {
+			if runCtx.Err() != nil {
 				truncated = true
 				break
 			}
 		}
-		var ckptTimer *time.Timer
-		if e.saveOnStop && opts.CheckpointEvery > 0 {
-			ckptTimer = time.AfterFunc(opts.CheckpointEvery, func() { e.stopped.Store(true) })
-		}
-		rs := e.runRound(ws, first, tasks)
-		if ckptTimer != nil {
-			ckptTimer.Stop()
-		}
+		sched := e.runRound(runCtx, ws, first, tasks)
 
 		e.panicMu.Lock()
 		panicked := e.panicErr != nil
 		e.panicMu.Unlock()
 
 		if e.saveOnStop && !panicked {
-			frontier = e.collectFrontier(ws, rs, first, tasks)
+			frontier = e.collectFrontier(ws, sched)
 		} else {
-			// Work left behind after every worker exited is definitively
-			// skipped: unclaimed round items in the legacy loop, or queued
-			// tasks no worker ever popped. (Work abandoned mid-subtree was
-			// already flagged by the worker that unwound — or lost outright
-			// by a panicking one.)
+			// Queued tasks no worker ever popped are definitively skipped.
+			// (Work abandoned mid-subtree was already flagged by the worker
+			// that unwound — or lost outright by a panicking one.)
 			frontier = nil
-			if rs.sched != nil {
-				if rs.sched.pending.Load() > 0 {
-					e.abandoned.Store(true)
-				}
-			} else if int(rs.claimed) < rs.items {
+			if sched.pending.Load() > 0 {
 				e.abandoned.Store(true)
 			}
 		}
@@ -601,7 +555,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 				ckptBytes += uint64(n)
 			}
 		}
-		if done || panicked || !e.saveOnStop || limitReached || ctx.Err() != nil || e.deadlineHit.Load() {
+		if done || panicked || !e.saveOnStop || limitReached || runCtx.Err() != nil {
 			truncated = truncated || len(frontier) > 0
 			break
 		}
@@ -628,74 +582,32 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	return res, ctx.Err()
 }
 
-// roundState reports how one round of workers ended, for frontier
-// collection and definitive-skip accounting.
-type roundState struct {
-	// sched is the round's work-stealing scheduler (nil on the legacy
-	// path).
-	sched *scheduler
-	// claimed/items describe the legacy path's dynamic distribution: items
-	// is the round's work-item count, claimed how many were handed to a
-	// worker before the round ended.
-	claimed int64
-	items   int
-}
-
 // runRound spawns the round's workers, waits for them to finish or quiesce,
-// and reports how the distribution ended. Round-zero work comes from first
-// (fresh runs); resumed and post-checkpoint rounds carry their work in
-// tasks.
-func (e *shared) runRound(ws []*worker, first []uint32, tasks []task) roundState {
-	var wg sync.WaitGroup
-	var rs roundState
-	if e.opts.SplitDepth < 0 {
-		// Ablation baseline: the pre-scheduler first-level-only dynamic
-		// loop. Extra workers are useless beyond the item count, and one
-		// skewed first-edge subtree serializes its worker.
-		var next atomic.Int64
-		n := len(first)
-		if tasks != nil {
-			n = len(tasks)
-		}
-		rs.items = n
-		spawn := len(ws)
-		if spawn > n {
-			spawn = n
-		}
-		for wi := 0; wi < spawn; wi++ {
-			w := ws[wi]
-			w.stop, w.sched = false, nil
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer e.recoverWorker()
-				for !e.stopped.Load() {
-					i := next.Add(1) - 1
-					if int(i) >= n {
-						return
-					}
-					if tasks != nil {
-						w.runTask(&tasks[i])
-					} else {
-						w.mineFrom(first[i])
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		rs.claimed = next.Load()
-		if rs.claimed > int64(n) {
-			rs.claimed = int64(n)
-		}
-		return rs
+// and returns the round's scheduler for frontier collection and
+// definitive-skip accounting. Round-zero work comes from first (fresh runs);
+// resumed and post-checkpoint rounds carry their work in tasks.
+//
+// The round ends early when its context does: runCtx's cancellation or
+// deadline, or — on a checkpointed run — the CheckpointEvery period. The
+// context's AfterFunc is the one place that turns those into the shared
+// stop flag.
+func (e *shared) runRound(runCtx context.Context, ws []*worker, first []uint32, tasks []task) *scheduler {
+	roundCtx := runCtx
+	if e.saveOnStop && e.opts.CheckpointEvery > 0 {
+		var cancel context.CancelFunc
+		roundCtx, cancel = context.WithTimeout(runCtx, e.opts.CheckpointEvery)
+		defer cancel()
 	}
+	stopOnDone := context.AfterFunc(roundCtx, func() { e.stopped.Store(true) })
+	defer stopOnDone()
+
 	sched := newScheduler(len(ws))
 	if tasks != nil {
 		sched.seedTasks(tasks)
 	} else {
 		sched.seed(first)
 	}
-	rs.sched = sched
+	var wg sync.WaitGroup
 	for wi, w := range ws {
 		w.stop = false
 		w.sched, w.id = sched, wi
@@ -707,24 +619,19 @@ func (e *shared) runRound(ws []*worker, first []uint32, tasks []task) roundState
 		}()
 	}
 	wg.Wait()
-	return rs
+	return sched
 }
 
-// splitParams resolves the scheduling knobs: SplitDepth 0 means the default
-// two levels (clamped so the last position is never splittable — splitting
-// there publishes leaves, pure overhead), SplitThreshold 0 means the default.
+// splitParams resolves the scheduling knobs: the default two split levels,
+// clamped so the last position is never splittable (splitting there
+// publishes leaves, pure overhead), and the split threshold (0 means the
+// default).
 func splitParams(plan *oig.Plan, opts Options) (depth, threshold int) {
-	depth = opts.SplitDepth
-	if depth == 0 {
-		depth = defaultSplitDepth
-	}
-	if max := plan.Pattern.NumEdges() - 1; depth > max {
-		depth = max
-	}
+	depth = min(defaultSplitDepth, plan.Pattern.NumEdges()-1)
 	if depth < 1 {
 		depth = 1
 	}
-	threshold = opts.SplitThreshold
+	threshold = opts.splitThreshold
 	if threshold <= 0 {
 		threshold = defaultSplitThreshold
 	}
@@ -739,13 +646,14 @@ type shared struct {
 	opts   Options
 	kernel intset.Kernel
 	// splitDepth/splitThreshold are the resolved scheduling knobs (see
-	// Options.SplitDepth / Options.SplitThreshold and splitParams).
+	// splitParams).
 	splitDepth     int
 	splitThreshold int
-	// stopped is the shared cooperative-cancellation flag: set by the
-	// deadline timer, the context watcher, a panicking worker, and the
-	// worker that reaches Limit, checked once per candidate by every worker
-	// (including thieves executing stolen tasks).
+	// stopped is the shared cooperative-cancellation flag: set when the
+	// round context ends (cancellation, deadline, checkpoint period), by a
+	// panicking worker, and by the worker that reaches Limit; checked once
+	// per candidate by every worker (including thieves executing stolen
+	// tasks).
 	stopped atomic.Bool
 	// abandoned records that some worker actually walked away from
 	// unexplored work after observing stopped — the condition under which
@@ -757,24 +665,21 @@ type shared struct {
 	// checkpoint sink is configured, so every quiesce point captures the
 	// exact remaining search space.
 	saveOnStop bool
-	// deadlineHit latches deadline expiry separately from stopped, which
-	// checkpointed runs reset between rounds; the driver consults it to
-	// tell "quiesce for a checkpoint" from "out of time".
-	deadlineHit atomic.Bool
 	// panicErr holds the first worker panic, converted to an error so a
 	// crashing user callback cannot take down the process.
 	panicMu  sync.Mutex
 	panicErr error // guarded by panicMu
-	// autoPerms holds the non-identity automorphism permutations when
-	// UniqueOnly filtering is active.
-	autoPerms [][]int
-	emitMu    sync.Mutex
+	emitMu   sync.Mutex
 }
 
 // ErrWorkerPanic wraps a panic recovered on a mining worker goroutine;
 // match with errors.Is to distinguish a crashed query (a server-side bug
 // or a faulty user callback) from an invalid one.
 var ErrWorkerPanic = errors.New("engine: worker panicked")
+
+// errDeadline is the cause attached to the run context when
+// Options.Deadline fires.
+var errDeadline = errors.New("engine: deadline reached")
 
 // recoverWorker converts a panic on a worker goroutine (most plausibly a
 // user OnEmbedding callback, but any engine bug too) into a recorded error

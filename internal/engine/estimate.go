@@ -83,9 +83,9 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	w := newWorker(e, nil)
 	perRoot := make([]float64, k)
 	var total uint64
-	for i, root := range sample {
+	for i := range sample {
 		before := w.count
-		w.mineFrom(root)
+		w.explore(0, sample[i:i+1])
 		perRoot[i] = float64(w.count - before)
 		total = w.count
 	}

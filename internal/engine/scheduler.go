@@ -255,11 +255,10 @@ func (w *worker) trySteal() bool {
 	return false
 }
 
-// runTask executes a task: rebind the prefix, rebuild the overlap slots the
-// prefix's validation produced (stolen and resumed tasks arrive without the
-// publisher's scratch state), and explore the candidate range. Scheduler
-// workers pass their run buffer; the legacy round loop passes frontier
-// tasks directly (explore never mutates the candidate slice contents).
+// runTask executes a task from the worker's run buffer: rebind the prefix,
+// rebuild the overlap slots the prefix's validation produced (stolen and
+// resumed tasks arrive without the publisher's scratch state), and explore
+// the candidate range.
 func (w *worker) runTask(t *task) {
 	copy(w.c[:t.depth], t.prefix)
 	if t.depth > 1 && w.e.opts.Val != ValProfiles {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ohminer/internal/bruteforce"
 	"ohminer/internal/dal"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/oig"
@@ -14,9 +15,10 @@ import (
 
 // skewedInput builds the adversarial case for first-level-only scheduling: a
 // chain pattern pe0–pe1–pe2 whose first step has exactly ONE data candidate
-// (a unique degree-5 hub), so the old scheduler clamps every run to one
-// worker. All fan² embeddings hang off that single first-edge subtree; only
-// subtree stealing below the root can parallelize them.
+// (a unique degree-5 hub), so distributing first-step candidates alone
+// would clamp every run to one worker. All fan² embeddings hang off that
+// single first-edge subtree; only subtree stealing below the root can
+// parallelize them.
 //
 // Data hypergraph:
 //
@@ -88,10 +90,9 @@ func TestDequeSemantics(t *testing.T) {
 }
 
 // TestStealingDeterministic is the acceptance criterion for the scheduler:
-// on the skewed input (one first-level candidate), Result.Ordered must be
-// identical for 1, 4, and 16 workers with stealing active, and must match
-// the legacy first-level-only scheduler. Run under -race this also checks
-// the publish/steal hand-off for data races.
+// on the skewed input (one first-level candidate), Result.Ordered must equal
+// the closed-form count for 1, 4, and 16 workers with stealing active. Run
+// under -race this also checks the publish/steal hand-off for data races.
 func TestStealingDeterministic(t *testing.T) {
 	store, plan := skewedInput(t, 24)
 	want := uint64(24 * 24)
@@ -100,16 +101,9 @@ func TestStealingDeterministic(t *testing.T) {
 		if v.Val == ValOverlapSimple {
 			continue // needs a simple-mode plan; covered by TestWorkerPoolDeterministic
 		}
-		legacy, err := MineWithPlan(store, plan, Options{Gen: v.Gen, Val: v.Val, Workers: 4, SplitDepth: -1})
-		if err != nil {
-			t.Fatalf("%s legacy: %v", v.Name, err)
-		}
-		if legacy.Ordered != want {
-			t.Fatalf("%s legacy: Ordered=%d want %d", v.Name, legacy.Ordered, want)
-		}
 		for _, workers := range []int{1, 4, 16} {
 			res, err := MineWithPlan(store, plan, Options{
-				Gen: v.Gen, Val: v.Val, Workers: workers, SplitThreshold: 2,
+				Gen: v.Gen, Val: v.Val, Workers: workers, splitThreshold: 2,
 			})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", v.Name, workers, err)
@@ -140,7 +134,7 @@ func TestStealOccurs(t *testing.T) {
 	want := uint64(24 * 24)
 	for attempt := 0; attempt < 50; attempt++ {
 		res, err := MineWithPlan(store, plan, Options{
-			Workers: 8, SplitThreshold: 2,
+			Workers: 8, splitThreshold: 2,
 			OnEmbedding: func([]uint32) { runtime.Gosched() },
 		})
 		if err != nil {
@@ -156,9 +150,9 @@ func TestStealOccurs(t *testing.T) {
 	t.Fatal("no steal observed in 50 runs on the skewed input with 8 workers")
 }
 
-// TestStealingMatchesRandom cross-checks stealing against the legacy
-// scheduler on random inputs, with an aggressive split threshold so
-// publication happens even on small candidate lists.
+// TestStealingMatchesRandom cross-checks stealing against brute force on
+// random inputs, with an aggressive split threshold so publication happens
+// even on small candidate lists.
 func TestStealingMatchesRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	trials := 12
@@ -172,18 +166,16 @@ func TestStealingMatchesRandom(t *testing.T) {
 		if err != nil {
 			continue
 		}
+		want := bruteforce.Count(h, p)
+		aut := uint64(p.Automorphisms())
 		for _, v := range Variants() {
-			legacy, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 4, SplitDepth: -1})
-			if err != nil {
-				t.Fatalf("trial %d %s legacy: %v", trial, v.Name, err)
-			}
-			steal, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 8, SplitDepth: 3, SplitThreshold: 1})
+			steal, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 8, splitThreshold: 1})
 			if err != nil {
 				t.Fatalf("trial %d %s steal: %v", trial, v.Name, err)
 			}
-			if steal.Ordered != legacy.Ordered || steal.Unique != legacy.Unique {
-				t.Errorf("trial %d %s: stealing ordered/unique = %d/%d, legacy %d/%d",
-					trial, v.Name, steal.Ordered, steal.Unique, legacy.Ordered, legacy.Unique)
+			if steal.Ordered != want || steal.Unique != want/aut {
+				t.Errorf("trial %d %s: stealing ordered/unique = %d/%d, brute force %d/%d",
+					trial, v.Name, steal.Ordered, steal.Unique, want, want/aut)
 			}
 		}
 	}
@@ -197,7 +189,7 @@ func TestLimitUnderStealing(t *testing.T) {
 	total := uint64(24 * 24)
 	for _, workers := range []int{1, 8} {
 		res, err := MineWithPlan(store, plan, Options{
-			Workers: workers, Limit: 10, SplitThreshold: 2,
+			Workers: workers, Limit: 10, splitThreshold: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -221,7 +213,7 @@ func TestDeadlineUnderStealing(t *testing.T) {
 	store, plan := skewedInput(t, 24)
 	total := uint64(24 * 24)
 	res, err := MineWithPlan(store, plan, Options{
-		Workers: 8, SplitThreshold: 2, Deadline: 30 * time.Millisecond,
+		Workers: 8, splitThreshold: 2, Deadline: 30 * time.Millisecond,
 		OnEmbedding: func([]uint32) { time.Sleep(time.Millisecond) },
 	})
 	if err != nil {

@@ -86,7 +86,7 @@ func TestMiningAcrossStampWraparound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &shared{store: store, plan: plan, opts: opts, kernel: intset.Fast}
+	e := &shared{store: store, plan: plan, opts: opts, kernel: intset.Adaptive}
 	var found atomic.Uint64
 	w := newWorker(e, &found)
 
@@ -100,9 +100,7 @@ func TestMiningAcrossStampWraparound(t *testing.T) {
 		w.vertMark[i] = uint32(i%8) + 1
 	}
 
-	for _, f := range e.firstCandidates() {
-		w.mineFrom(f)
-	}
+	w.explore(0, e.firstCandidates())
 	if w.count != clean.Ordered {
 		t.Errorf("count across stamp wrap = %d, want %d", w.count, clean.Ordered)
 	}

@@ -19,8 +19,8 @@ import (
 )
 
 // TestSymmetryDifferentialShapes sweeps every 2- and 3-hyperedge shape,
-// mining each realization with restrictions on and off across both
-// scheduler paths and all three kernel families: Ordered and Unique must
+// mining each realization with restrictions on and off on both kernel
+// families: Ordered and Unique must
 // match the brute-force oracle (and each other) everywhere. This is the
 // differential proof that enforcing the stabilizer-chain restrictions
 // changes the work, never the answer.
@@ -50,19 +50,17 @@ func TestSymmetryDifferentialShapes(t *testing.T) {
 					t.Fatalf("shape %s: Restricted=%v with NoRestrictions=%v (aut=%d)",
 						s.Key(), plan.Restricted, norestrict, aut)
 				}
-				for _, kernel := range []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar} {
-					for _, split := range []int{0, -1} {
-						res, err := MineWithPlan(store, plan, Options{Workers: 2, Kernel: kernel, SplitDepth: split})
-						if err != nil {
-							t.Fatalf("shape %s norestrict=%v: %v", s.Key(), norestrict, err)
-						}
-						if res.Ordered != want || res.Unique != want/aut || res.UniqueRemainder != 0 {
-							t.Fatalf("shape %s norestrict=%v kernel=%s split=%d: Ordered=%d Unique=%d rem=%d, want %d/%d/0\npattern %s",
-								s.Key(), norestrict, kernel.Name, split, res.Ordered, res.Unique, res.UniqueRemainder, want, want/aut, p)
-						}
-						if res.Restricted != wantRestricted {
-							t.Fatalf("shape %s: result Restricted=%v under NoRestrictions=%v", s.Key(), res.Restricted, norestrict)
-						}
+				for _, kernel := range []intset.Kernel{intset.Adaptive, intset.Scalar} {
+					res, err := MineWithPlan(store, plan, Options{Workers: 2, Kernel: kernel})
+					if err != nil {
+						t.Fatalf("shape %s norestrict=%v: %v", s.Key(), norestrict, err)
+					}
+					if res.Ordered != want || res.Unique != want/aut || res.UniqueRemainder != 0 {
+						t.Fatalf("shape %s norestrict=%v kernel=%s: Ordered=%d Unique=%d rem=%d, want %d/%d/0\npattern %s",
+							s.Key(), norestrict, kernel.Name, res.Ordered, res.Unique, res.UniqueRemainder, want, want/aut, p)
+					}
+					if res.Restricted != wantRestricted {
+						t.Fatalf("shape %s: result Restricted=%v under NoRestrictions=%v", s.Key(), res.Restricted, norestrict)
 					}
 				}
 			}

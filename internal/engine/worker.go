@@ -23,7 +23,7 @@ type worker struct {
 	found *atomic.Uint64
 
 	// sched/id attach the worker to a work-stealing run (scheduler.go);
-	// both stay zero for standalone workers (EstimateCount, legacy mode).
+	// both stay zero for standalone workers (EstimateCount).
 	sched *scheduler
 	id    int
 	task  task // run buffer: deque hand-offs are copied in here
@@ -93,35 +93,6 @@ func newWorker(e *shared, found *atomic.Uint64) *worker {
 	return w
 }
 
-// mineFrom explores the search subtree rooted at first bound to position 0.
-// It is the root of the mining hot path: nothing reachable from here may
-// allocate (enforced by ohmlint's hotpath-alloc analyzer).
-//
-//ohmlint:hotpath
-func (w *worker) mineFrom(first uint32) {
-	if w.stop {
-		// This first-level subtree is being skipped. A checkpointed run
-		// saves it as a depth-0 frontier task; otherwise the run
-		// undercounts.
-		if w.e.saveOnStop {
-			w.saveRoot(first)
-		} else {
-			w.e.abandoned.Store(true)
-		}
-		return
-	}
-	w.c[0] = first
-	if w.e.plan.Pattern.NumEdges() == 1 {
-		w.emit()
-		return
-	}
-	// Position 0 has no validation ops (a single edge carries only its
-	// degree/label constraint, enforced by firstCandidates)...
-	// except in profile mode, where step 0 establishes the profile baseline
-	// trivially and can be skipped too.
-	w.step(1)
-}
-
 // step binds position t to every surviving candidate and recurses.
 func (w *worker) step(t int) {
 	var t0 time.Time
@@ -148,8 +119,8 @@ func (w *worker) explore(t int, cands []uint32) {
 	instrument := w.e.opts.Instrument
 	var t0 time.Time
 	for i := 0; i < len(cands); i++ {
-		// Shared cooperative cancellation: the deadline timer, a context
-		// watcher, the checkpoint timer, and the Limit all set one flag,
+		// Shared cooperative cancellation: the run's deadline, the caller's
+		// context, the checkpoint period, and the Limit all set one flag,
 		// checked with a single atomic load per candidate at every depth
 		// (stealing workers included). Returning here leaves candidates
 		// i..len-1 unexplored — exactly what Result.Truncated reports, or,
@@ -233,15 +204,9 @@ func (w *worker) saveTask(t int, cands []uint32) {
 	})
 }
 
-// saveRoot records a never-started first-level subtree as a depth-0
-// frontier task (legacy-path quiesce).
-func (w *worker) saveRoot(first uint32) {
-	w.saved = append(w.saved, task{cands: []uint32{first}}) //ohmlint:allow hotpath-alloc -- at most once per worker per quiesce
-}
-
 func (w *worker) emit() {
 	w.count++
-	if w.e.opts.OnEmbedding != nil && w.isCanonical() {
+	if w.e.opts.OnEmbedding != nil {
 		w.emitCallback()
 	}
 	if w.e.opts.Limit > 0 && w.found.Add(1) >= w.e.opts.Limit {
@@ -250,27 +215,6 @@ func (w *worker) emit() {
 		// stolen subtrees) observe the flag at their next candidate.
 		w.e.stopped.Store(true)
 	}
-}
-
-// isCanonical reports whether the bound tuple is the lexicographically
-// smallest among its automorphic reorderings — the UniqueOnly filter. Each
-// unordered embedding has exactly one canonical tuple because the bound
-// hyperedges are distinct... up to co-extensive labeled duplicates, whose
-// tie keeps the original (a permuted tuple must be strictly smaller to
-// disqualify).
-func (w *worker) isCanonical() bool {
-	for _, perm := range w.e.autoPerms {
-		for i := range w.c {
-			pc := w.c[perm[i]]
-			if pc < w.c[i] {
-				return false // a strictly smaller reordering exists
-			}
-			if pc > w.c[i] {
-				break
-			}
-		}
-	}
-	return true
 }
 
 // accept applies the cheap per-candidate constraints: distinctness,

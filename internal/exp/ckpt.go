@@ -94,7 +94,6 @@ func runCkpt(c *Context, opts RunOpts) ([]*Table, error) {
 			Dataset:   "balanced",
 			Pattern:   fmt.Sprintf("chain3 hubs=%d fan=%d every=%v", hubs, fan, every),
 			Workers:   opts.Workers,
-			Scheduler: "stealing",
 			MaxProcs:  runtime.GOMAXPROCS(0),
 			ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
 			Ordered:   res.Ordered,

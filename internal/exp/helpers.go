@@ -93,7 +93,6 @@ func mineSet(store *dal.Store, pats []*pattern.Pattern, v engine.Variant, opts R
 				Variant:   v.Name,
 				Pattern:   fmt.Sprintf("#%d %s", i, p),
 				Workers:   opts.Workers,
-				Scheduler: "stealing",
 				ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
 				Ordered:   res.Ordered,
 				Steals:    res.Stats.Steals,

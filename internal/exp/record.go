@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 )
 
@@ -20,12 +21,11 @@ type CellRecord struct {
 	// (setting name, literal, or index).
 	Dataset string `json:"dataset,omitempty"`
 	Pattern string `json:"pattern"`
-	// Workers and Scheduler identify the parallel configuration
-	// ("stealing" or "legacy"). MaxProcs records GOMAXPROCS at run time:
-	// wall-clock worker scaling is bounded by it, so a reader comparing
-	// cells across machines needs it alongside Workers.
+	// Workers is the mining goroutine count. MaxProcs records GOMAXPROCS at
+	// run time: wall-clock worker scaling is bounded by it, so a reader
+	// comparing cells across machines needs it alongside Workers (WriteJSON
+	// adds the host's CPU count beside it).
 	Workers   int     `json:"workers,omitempty"`
-	Scheduler string  `json:"scheduler,omitempty"`
 	MaxProcs  int     `json:"gomaxprocs,omitempty"`
 	ElapsedMs float64 `json:"elapsed_ms"`
 	Ordered   uint64  `json:"ordered"`
@@ -34,7 +34,7 @@ type CellRecord struct {
 	Steals    uint64 `json:"steals"`
 	Publishes uint64 `json:"publishes"`
 	IdleSpins uint64 `json:"idle_spins"`
-	// Kernel names the set-kernel family the cell ran on ("scalar", "fast",
+	// Kernel names the set-kernel family the cell ran on ("scalar" or
 	// "adaptive"); set by the kernel ablation.
 	Kernel string `json:"kernel,omitempty"`
 	// Per-operation container classifications from engine.Stats: how many
@@ -78,11 +78,22 @@ func (r *Recorder) Cells() []CellRecord {
 	return out
 }
 
-// WriteJSON writes the recorded cells as indented JSON.
+// WriteJSON writes the recorded cells as indented JSON, each stamped with
+// the host's CPU count ("nproc"): a cell whose gomaxprocs is below nproc
+// was deliberately limited, one where they match ran on the whole host.
 func (r *Recorder) WriteJSON(w io.Writer) error {
+	type hostCell struct {
+		CellRecord
+		NumCPU int `json:"nproc"`
+	}
+	cells := r.Cells()
+	out := make([]hostCell, len(cells))
+	for i, c := range cells {
+		out[i] = hostCell{CellRecord: c, NumCPU: runtime.NumCPU()}
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Cells())
+	return enc.Encode(out)
 }
 
 // WriteFile writes the recorded cells to the named file.

@@ -12,16 +12,17 @@ import (
 	"ohminer/internal/pattern"
 )
 
-// The "sched" experiment is the scaling ablation for the work-stealing
-// subtree scheduler: 1/2/4/8 workers on a balanced input (many first-step
-// candidates, where first-level dynamic distribution already parallelizes)
-// and on a skewed input (a single first-step candidate, where the legacy
-// scheduler degenerates to one worker and only subtree stealing helps).
+// The "sched" experiment measures how the work-stealing subtree scheduler
+// scales: 1/2/4/8 workers on a balanced input (many first-step candidates,
+// where distributing those alone would already parallelize) and on a skewed
+// input (a single first-step candidate, where only subtree stealing below
+// the root helps). Each row's speedup is relative to one worker on the same
+// scheduler.
 
 func init() {
 	register(Experiment{
 		ID:    "sched",
-		Title: "Work-stealing scheduler scaling ablation (balanced vs skewed, legacy vs stealing)",
+		Title: "Work-stealing scheduler scaling (balanced vs skewed, 1-8 workers)",
 		Run:   runSched,
 	})
 }
@@ -118,12 +119,13 @@ func runSched(c *Context, opts RunOpts) ([]*Table, error) {
 	}
 
 	t := &Table{
-		Title:  "Scheduler ablation: legacy first-level distribution vs work stealing",
-		Header: []string{"input", "workers", "legacy", "stealing", "speedup", "steals", "publishes"},
+		Title:  "Scheduler scaling: work stealing at 1/2/4/8 workers",
+		Header: []string{"input", "workers", "elapsed", "speedup", "steals", "publishes"},
 		Notes: []string{
-			"legacy = first-level-only dynamic loop (SplitDepth < 0); on the skewed input it clamps to 1 worker",
+			"speedup is relative to 1 worker on the same work-stealing scheduler",
 			"skewed input has ONE first-step candidate; all parallelism there comes from subtree stealing",
-			fmt.Sprintf("wall-clock scaling is bounded by GOMAXPROCS=%d on this host; counts are verified identical across all cells", runtime.GOMAXPROCS(0)),
+			fmt.Sprintf("wall-clock scaling is bounded by GOMAXPROCS=%d (of %d CPUs) on this host; counts are verified identical across all cells",
+				runtime.GOMAXPROCS(0), runtime.NumCPU()),
 		},
 	}
 	for _, in := range inputs {
@@ -132,39 +134,34 @@ func runSched(c *Context, opts RunOpts) ([]*Table, error) {
 			return nil, err
 		}
 		start := time.Now()
+		var base time.Duration
 		for _, workers := range []int{1, 2, 4, 8} {
-			legacy, err := minMine(store, plan, engine.Options{Workers: workers, SplitDepth: -1}, repeats)
+			res, err := minMine(store, plan, engine.Options{Workers: workers}, repeats)
 			if err != nil {
 				return nil, err
 			}
-			steal, err := minMine(store, plan, engine.Options{Workers: workers}, repeats)
-			if err != nil {
-				return nil, err
+			if res.Ordered != want {
+				return nil, fmt.Errorf("sched: %s workers=%d counted %d, want %d", in.name, workers, res.Ordered, want)
 			}
-			if legacy.Ordered != want || steal.Ordered != want {
-				return nil, fmt.Errorf("sched: %s workers=%d counts legacy=%d stealing=%d, want %d",
-					in.name, workers, legacy.Ordered, steal.Ordered, want)
+			if workers == 1 {
+				base = res.Elapsed
 			}
-			t.AddRow(in.name, fmt.Sprintf("%d", workers), ms(legacy.Elapsed), ms(steal.Elapsed),
-				speedup(legacy.Elapsed, steal.Elapsed),
-				fmt.Sprintf("%d", steal.Stats.Steals), fmt.Sprintf("%d", steal.Stats.Publishes))
-			for sched, res := range map[string]engine.Result{"legacy": legacy, "stealing": steal} {
-				opts.Recorder.Record(CellRecord{
-					Exp:       "sched",
-					Variant:   "OHMiner",
-					Dataset:   in.name,
-					Pattern:   fmt.Sprintf("chain3 hubs=%d fan=%d", in.hubs, in.fan),
-					Workers:   workers,
-					Scheduler: sched,
-					MaxProcs:  runtime.GOMAXPROCS(0),
-					ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
-					Ordered:   res.Ordered,
-					Truncated: res.Truncated,
-					Steals:    res.Stats.Steals,
-					Publishes: res.Stats.Publishes,
-					IdleSpins: res.Stats.IdleSpins,
-				})
-			}
+			t.AddRow(in.name, fmt.Sprintf("%d", workers), ms(res.Elapsed), speedup(base, res.Elapsed),
+				fmt.Sprintf("%d", res.Stats.Steals), fmt.Sprintf("%d", res.Stats.Publishes))
+			opts.Recorder.Record(CellRecord{
+				Exp:       "sched",
+				Variant:   "OHMiner",
+				Dataset:   in.name,
+				Pattern:   fmt.Sprintf("chain3 hubs=%d fan=%d", in.hubs, in.fan),
+				Workers:   workers,
+				MaxProcs:  runtime.GOMAXPROCS(0),
+				ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
+				Ordered:   res.Ordered,
+				Truncated: res.Truncated,
+				Steals:    res.Stats.Steals,
+				Publishes: res.Stats.Publishes,
+				IdleSpins: res.Stats.IdleSpins,
+			})
 		}
 		progressf("    sched/%-8s 4 worker counts in %v\n", in.name, time.Since(start).Round(time.Millisecond))
 	}

@@ -1,7 +1,8 @@
 package intset
 
-// This file holds the "fast" kernel family: the stand-in for the paper's
-// AVX-512 set intersection. The kernels combine
+// This file holds the Kernel seam and the fast array kernels the Adaptive
+// family runs on array-backed operands — the stand-in for the paper's
+// AVX-512 set intersection. The array kernels combine
 //
 //   - galloping (binary-search probing) when operand sizes are skewed by
 //     more than gallopThreshold, and
@@ -9,16 +10,16 @@ package intset
 //     compiler keep both cursors in registers and shortens the dependency
 //     chain compared to the textbook merge.
 //
-// The engine selects between the scalar and the fast family through a Kernel
-// value so that the SIMD ablation (Sec. 5.2 of the paper) is a runtime flag.
+// The engine selects between the Adaptive and the Scalar family through a
+// Kernel value so that the SIMD ablation (Sec. 5.2 of the paper) is a
+// runtime flag.
 
 // Kernel bundles one family of set-intersection primitives. The slice entry
 // points (Intersect, IntersectCount) operate on sorted []uint32 operands; the
 // Set entry points additionally see the adaptive container metadata (bitmap
 // windows, value ranges) and are the ones the engine's hot paths call. For
-// the Scalar and Fast families the Set entry points simply forward to the
-// slice kernels over Set.Elems, so every family is interchangeable behind
-// the seam.
+// the Scalar family the Set entry points simply forward to the slice kernels
+// over Set.Elems, so both families are interchangeable behind the seam.
 type Kernel struct {
 	// Intersect computes a ∩ b into dst and returns it. dst is reused via
 	// dst[:0] (nil allocates) and must not alias a or b.
@@ -54,20 +55,8 @@ var Scalar = Kernel{
 	Name:               "scalar",
 }
 
-// Fast is the galloping + unrolled kernel family (the SIMD stand-in).
-var Fast = Kernel{
-	Intersect:          IntersectFast,
-	IntersectCount:     IntersectCountFast,
-	IntersectSets:      intersectSetsFast,
-	IntersectCountSets: intersectCountSetsFast,
-	SetsIntersect:      setsIntersectArrays,
-	IntersectK:         intersectKFast,
-	IntersectCountK:    intersectCountKFast,
-	Name:               "fast",
-}
-
 // Adaptive is the density-aware family: SWAR word kernels over bitmap
-// windows, probe kernels on mixed pairs, the Fast array kernels otherwise,
+// windows, probe kernels on mixed pairs, the fast array kernels otherwise,
 // and rarest-first k-way intersection with per-operand resume cursors.
 var Adaptive = Kernel{
 	Intersect:          IntersectFast,
@@ -80,14 +69,12 @@ var Adaptive = Kernel{
 	Name:               "adaptive",
 }
 
-// Array-only Set adapters for the Scalar and Fast families. Method values
-// would allocate closures at package init only, but plain functions keep the
+// Array-only Set adapters for the Scalar family. Method values would
+// allocate closures at package init only, but plain functions keep the
 // kernels comparable in profiles.
 
 func intersectSetsScalar(a, b Set, dst []uint32) []uint32 { return Intersect(a.arr, b.arr, dst) }
 func intersectCountSetsScalar(a, b Set) int               { return IntersectCount(a.arr, b.arr) }
-func intersectSetsFast(a, b Set, dst []uint32) []uint32   { return IntersectFast(a.arr, b.arr, dst) }
-func intersectCountSetsFast(a, b Set) int                 { return IntersectCountFast(a.arr, b.arr) }
 func setsIntersectArrays(a, b Set) bool                   { return Intersects(a.arr, b.arr) }
 
 func intersectKScalar(sets []Set, dst, tmp []uint32) ([]uint32, []uint32) {
@@ -96,14 +83,6 @@ func intersectKScalar(sets []Set, dst, tmp []uint32) ([]uint32, []uint32) {
 
 func intersectCountKScalar(sets []Set, dst, tmp []uint32) (int, []uint32, []uint32) {
 	return intersectCountKPairwise(Intersect, IntersectCount, sets, dst, tmp)
-}
-
-func intersectKFast(sets []Set, dst, tmp []uint32) ([]uint32, []uint32) {
-	return intersectKPairwise(IntersectFast, sets, dst, tmp)
-}
-
-func intersectCountKFast(sets []Set, dst, tmp []uint32) (int, []uint32, []uint32) {
-	return intersectCountKPairwise(IntersectFast, IntersectCountFast, sets, dst, tmp)
 }
 
 // IntersectFast computes a ∩ b into dst using galloping for skewed sizes and
@@ -126,7 +105,7 @@ func IntersectFast(a, b, dst []uint32) []uint32 {
 	return intersectUnrolled(a, b, dst)
 }
 
-// IntersectCountFast returns |a ∩ b| using the fast kernel family.
+// IntersectCountFast returns |a ∩ b| using the fast array kernels.
 //
 //ohmlint:hotpath
 func IntersectCountFast(a, b []uint32) int {

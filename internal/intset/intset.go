@@ -8,8 +8,10 @@
 //
 //   - the scalar kernels (Intersect, IntersectCount, ...) are textbook
 //     two-pointer merges and serve as the "no-SIMD" ablation baseline;
-//   - the fast kernels (IntersectFast, IntersectCountFast, ...) combine a
-//     branch-reduced unrolled merge with galloping for skewed operand sizes,
+//   - the adaptive family picks per operation among word-parallel kernels
+//     over bitmap windows, window probes, and the fast array kernels
+//     (IntersectFast, IntersectCountFast), which combine a branch-reduced
+//     unrolled merge with galloping for skewed operand sizes — together
 //     standing in for the data-parallel speedup of SIMD set intersection.
 //
 // All functions require their inputs to be strictly increasing sequences and

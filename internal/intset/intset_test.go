@@ -63,7 +63,7 @@ func TestIntersectBasic(t *testing.T) {
 		{[]uint32{5}, []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, []uint32{5}},
 	}
 	for _, c := range cases {
-		for _, k := range []Kernel{Scalar, Fast} {
+		for _, k := range []Kernel{Scalar, Adaptive} {
 			got := k.Intersect(c.a, c.b, nil)
 			if !eq(got, c.want) {
 				t.Errorf("%s.Intersect(%v,%v)=%v want %v", k.Name, c.a, c.b, got, c.want)
@@ -79,7 +79,7 @@ func TestIntersectPropertyQuick(t *testing.T) {
 	f := func(av, bv []uint32) bool {
 		a, b := mkSet(av), mkSet(bv)
 		want := refIntersect(a, b)
-		for _, k := range []Kernel{Scalar, Fast} {
+		for _, k := range []Kernel{Scalar, Adaptive} {
 			got := k.Intersect(a, b, nil)
 			if !eq(got, want) || !SortedUnique(got) {
 				return false
@@ -264,11 +264,11 @@ func TestKernelAgreement(t *testing.T) {
 		}
 		a, b = mkSet(a), mkSet(b)
 		s := Scalar.Intersect(a, b, nil)
-		f := Fast.Intersect(a, b, nil)
-		if !eq(s, f) {
-			t.Fatalf("kernel mismatch trial %d:\n a=%v\n b=%v\n scalar=%v\n fast=%v", trial, a, b, s, f)
+		ad := Adaptive.Intersect(a, b, nil)
+		if !eq(s, ad) {
+			t.Fatalf("kernel mismatch trial %d:\n a=%v\n b=%v\n scalar=%v\n adaptive=%v", trial, a, b, s, ad)
 		}
-		if Scalar.IntersectCount(a, b) != Fast.IntersectCount(a, b) {
+		if Scalar.IntersectCount(a, b) != Adaptive.IntersectCount(a, b) {
 			t.Fatalf("count mismatch trial %d", trial)
 		}
 	}

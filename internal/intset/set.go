@@ -16,8 +16,8 @@ import "math/bits"
 //     spans short-circuit after a couple of comparisons.
 //
 // Sparse or tiny sets never build a window and keep paying exactly the
-// array-kernel costs, so the adaptive family is never worse than Fast by
-// more than a branch per call.
+// array-kernel costs, so the adaptive family is never worse than the fast
+// array kernels by more than a branch per call.
 
 const (
 	// minWindowLen is the smallest cardinality for which a bitmap window is
@@ -305,7 +305,7 @@ func rangeOverlap(a, b Set) (lo, hi uint32, ok bool) {
 
 // IntersectSetsAdaptive computes a ∩ b into dst, choosing the kernel by the
 // operands' representations: SWAR word AND over overlapping windows, window
-// probes when only the longer side has one, the Fast array family otherwise.
+// probes when only the longer side has one, the fast array kernels otherwise.
 // dst follows the IntersectFast contract (reused via dst[:0]; nil allocates;
 // must not otherwise alias the operands).
 //
@@ -737,10 +737,10 @@ scan:
 	return n, dst, tmp
 }
 
-// intersectKPairwise is the progressive k-way fold the Scalar and Fast
-// families use: operands ordered ascending, the running accumulator
-// ping-pongs between dst and tmp, and the fold short-circuits the moment the
-// accumulator empties. The returned spare buffer is whichever of dst/tmp the
+// intersectKPairwise is the progressive k-way fold the Scalar family and
+// the Adaptive fallback beyond maxK operands use: operands ordered
+// ascending, the running accumulator ping-pongs between dst and tmp, and the
+// fold short-circuits the moment the accumulator empties. The returned spare buffer is whichever of dst/tmp the
 // result did not land in, so callers can retain both backings across calls.
 //
 //ohmlint:hotpath

@@ -78,10 +78,9 @@ type Config struct {
 	Rebuild bool
 
 	// Engine templates the options for all query evaluation (Workers,
-	// Kernel, Gen/Val, SplitDepth/SplitThreshold, Instrument). Run-shaping
-	// fields — Limit, Deadline, OnEmbedding, UniqueOnly, PositionFilter,
-	// Checkpoint — are ignored: delta counting needs complete runs, and the
-	// miner owns the position filters.
+	// Kernel, Gen/Val, Instrument). Run-shaping fields — Limit, Deadline,
+	// OnEmbedding, PositionFilter, Checkpoint — are ignored: delta counting
+	// needs complete runs, and the miner owns the position filters.
 	Engine engine.Options
 
 	// Snapshot, when set, receives a stream snapshot every SnapshotEvery
@@ -306,7 +305,6 @@ func (m *Miner) mineOpts(filter func(int, uint32) bool) engine.Options {
 	o.Limit = 0
 	o.Deadline = 0
 	o.OnEmbedding = nil
-	o.UniqueOnly = false
 	o.Checkpoint = nil
 	o.CheckpointEvery = 0
 	o.DataAwareOrder = false
@@ -796,16 +794,6 @@ func (m *Miner) Query(id uint64) (QueryInfo, bool) {
 		return QueryInfo{}, false
 	}
 	return q.info(), true
-}
-
-// SetEngineOptions replaces the engine options used for standing-query
-// evaluation and ad-hoc counts from the next operation on. Run-shaping
-// fields (limits, callbacks, checkpointing) are sanitized per mine as
-// always; counts are invariant to this — it tunes workers and kernels.
-func (m *Miner) SetEngineOptions(o engine.Options) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cfg.Engine = o
 }
 
 // TotalCount mines the current live graph from scratch for p — the oracle

@@ -110,46 +110,37 @@ func feedAndCheck(t *testing.T, m *Miner, rng *rand.Rand, nv, batches int, withR
 
 // TestStreamDifferential is the acceptance-criteria suite: streamed
 // cumulative counts equal from-scratch TotalCount after every batch, for
-// add-only and add+retire sequences, across all three kernel families and
-// both scheduler paths.
+// add-only and add+retire sequences, on both kernel families. The "steal"
+// segment of the subtest IDs names the engine's work-stealing scheduler.
 func TestStreamDifferential(t *testing.T) {
+	const sched = "steal"
 	kernels := []struct {
 		name string
 		k    intset.Kernel
 	}{
 		{"scalar", intset.Scalar},
-		{"fast", intset.Fast},
 		{"adaptive", intset.Adaptive},
 	}
-	scheds := []struct {
-		name  string
-		depth int
-	}{
-		{"steal", 0},
-		{"legacy", -1},
-	}
 	for _, kc := range kernels {
-		for _, sc := range scheds {
-			for _, withRetires := range []bool{false, true} {
-				mode := "addonly"
-				if withRetires {
-					mode = "retire"
-				}
-				t.Run(fmt.Sprintf("%s/%s/%s", kc.name, sc.name, mode), func(t *testing.T) {
-					opts := engine.Options{Workers: 2, Kernel: kc.k, SplitDepth: sc.depth}
-					m, err := NewMiner(Config{NumVertices: 18, Engine: opts})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rng := rand.New(rand.NewSource(int64(len(kc.name)*100 + len(sc.name))))
-					// Seed the stream before registering queries so baselines
-					// are non-trivial.
-					if _, err := m.ApplyBatch(Batch{Add: randRaw(rng, 18, 12)}); err != nil {
-						t.Fatal(err)
-					}
-					feedAndCheck(t, m, rng, 18, 4, withRetires, opts)
-				})
+		for _, withRetires := range []bool{false, true} {
+			mode := "addonly"
+			if withRetires {
+				mode = "retire"
 			}
+			t.Run(fmt.Sprintf("%s/%s/%s", kc.name, sched, mode), func(t *testing.T) {
+				opts := engine.Options{Workers: 2, Kernel: kc.k}
+				m, err := NewMiner(Config{NumVertices: 18, Engine: opts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(len(kc.name)*100 + len(sched))))
+				// Seed the stream before registering queries so baselines
+				// are non-trivial.
+				if _, err := m.ApplyBatch(Batch{Add: randRaw(rng, 18, 12)}); err != nil {
+					t.Fatal(err)
+				}
+				feedAndCheck(t, m, rng, 18, 4, withRetires, opts)
+			})
 		}
 	}
 }

@@ -196,17 +196,11 @@ func WithVariant(name string) Option {
 	}
 }
 
-// WithScalarKernel disables the adaptive and galloping set kernels (the
-// paper's no-SIMD ablation). The default is the adaptive kernel family,
-// which picks per operation among word-parallel bitmap windows, window
-// probes, and galloping from the density of the operands' containers;
-// WithFastKernel pins the static gallop family instead.
+// WithScalarKernel disables the adaptive set kernels (the paper's no-SIMD
+// ablation). The default is the adaptive kernel family, which picks per
+// operation among word-parallel bitmap windows, window probes, and galloping
+// from the density of the operands' containers.
 func WithScalarKernel() Option { return func(c *config) { c.Kernel = intset.Scalar } }
-
-// WithFastKernel pins the static galloping kernel family, bypassing the
-// adaptive container dispatch — the mid ablation point between scalar and
-// adaptive (cf. the kern experiment in cmd/ohmbench).
-func WithFastKernel() Option { return func(c *config) { c.Kernel = intset.Fast } }
 
 // WithLimit stops mining once at least n ordered embeddings were found.
 func WithLimit(n uint64) Option { return func(c *config) { c.Limit = n } }
@@ -226,20 +220,12 @@ func WithInstrumentation() Option { return func(c *config) { c.Instrument = true
 func WithDataAwareOrder() Option { return func(c *config) { c.DataAwareOrder = true } }
 
 // WithEmbeddings registers a callback receiving every embedding (hyperedge
-// IDs in matching order). The engine serializes calls; copy the slice to
-// retain it.
+// IDs in matching order). On the default symmetry-broken plan it fires once
+// per unordered embedding, with that embedding's canonical tuple; with
+// WithoutSymmetryBreaking it sees every ordered tuple. The engine serializes
+// calls; copy the slice to retain it.
 func WithEmbeddings(fn func(edges []uint32)) Option {
 	return func(c *config) { c.OnEmbedding = fn }
-}
-
-// WithCanonicalEmbeddingsOnly filters the WithEmbeddings callback to one
-// canonical tuple per unordered embedding (counts are unaffected): useful
-// when the pattern has automorphisms and each match should be reported
-// once. Plans compiled with symmetry-breaking restrictions (the default)
-// already deliver exactly that, so this option matters only together with
-// WithoutSymmetryBreaking.
-func WithCanonicalEmbeddingsOnly() Option {
-	return func(c *config) { c.UniqueOnly = true }
 }
 
 // WithoutSymmetryBreaking compiles the plan without the symmetry-breaking
@@ -401,89 +387,6 @@ func NewStreamMiner(cfg StreamConfig) (*StreamMiner, error) { return stream.NewM
 // snapshot left them.
 func LoadStreamMiner(path string, cfg StreamConfig) (*StreamMiner, error) {
 	return stream.LoadFile(path, cfg)
-}
-
-// DynamicMiner maintains a hypergraph growing by hyperedge batches and
-// answers incremental queries (embeddings created by the latest batch).
-//
-// Deprecated: DynamicMiner is the append-only predecessor of the streaming
-// subsystem and is kept as a thin compatibility wrapper over StreamMiner.
-// New code should use NewStreamMiner, which adds retirement windows,
-// standing queries, push delivery, and checkpoint/resume.
-type DynamicMiner struct {
-	m       *StreamMiner
-	lastNew int
-}
-
-// DynamicDelta is an incremental query result.
-type DynamicDelta struct {
-	// Ordered/Unique count the embeddings that include at least one
-	// hyperedge of the latest batch.
-	Ordered uint64
-	Unique  uint64
-	Elapsed time.Duration
-}
-
-// NewDynamicMiner starts an incremental mining session from an initial
-// hypergraph.
-func NewDynamicMiner(numVertices int, initial [][]uint32) (*DynamicMiner, error) {
-	m, err := stream.NewMiner(stream.Config{NumVertices: numVertices})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.ApplyBatch(stream.Batch{Add: initial}); err != nil {
-		return nil, err
-	}
-	return &DynamicMiner{m: m}, nil
-}
-
-// ApplyBatch inserts new hyperedges; previously assigned hyperedge IDs stay
-// stable and duplicates are absorbed.
-func (d *DynamicMiner) ApplyBatch(batch [][]uint32) error {
-	res, err := d.m.ApplyBatch(stream.Batch{Add: batch})
-	if err != nil {
-		return err
-	}
-	d.lastNew = res.Added
-	return nil
-}
-
-// Hypergraph returns the current hypergraph.
-func (d *DynamicMiner) Hypergraph() *Hypergraph { return d.m.Hypergraph() }
-
-// Store returns the current degree-aware store.
-func (d *DynamicMiner) Store() *Store { return d.m.Store() }
-
-// Epoch returns the number of batches applied after the initial one.
-func (d *DynamicMiner) Epoch() int { return int(d.m.Epoch()) - 1 }
-
-// NumNewEdges returns the deduplicated size of the latest batch.
-func (d *DynamicMiner) NumNewEdges() int { return d.lastNew }
-
-// DeltaCount counts embeddings of p that use at least one hyperedge of the
-// latest batch: total(after) = total(before) + delta.
-func (d *DynamicMiner) DeltaCount(p *Pattern, opts ...Option) (DynamicDelta, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return DynamicDelta{}, err
-	}
-	d.m.SetEngineOptions(o)
-	start := time.Now()
-	sd, err := d.m.LatestDelta(p)
-	if err != nil {
-		return DynamicDelta{}, err
-	}
-	return DynamicDelta{Ordered: sd.Added, Unique: sd.AddedUnique, Elapsed: time.Since(start)}, nil
-}
-
-// TotalCount mines the full current hypergraph.
-func (d *DynamicMiner) TotalCount(p *Pattern, opts ...Option) (Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	d.m.SetEngineOptions(o)
-	return d.m.TotalCount(p)
 }
 
 // CountEstimate is an approximate embedding count with its standard error.
