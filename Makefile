@@ -43,6 +43,8 @@ fuzz:
 	$(GO) test -fuzz FuzzIntersectKernels -fuzztime 30s ./internal/intset
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/checkpoint
+	$(GO) test -fuzz FuzzWALScan -fuzztime 30s ./internal/cluster
 
 # Regenerate the paper's tables and figures (minutes; see EXPERIMENTS.md).
 experiments:
@@ -66,11 +68,13 @@ serve-smoke:
 	$(GO) test -race -count=1 -run TestServeSmoke ./cmd/ohmserve
 
 # End-to-end drills for the distributed cluster: builds ohmserve and
-# ohmworker, then (a) SIGKILLs a worker mid-run and (b) SIGKILLs a durable
+# ohmworker, then (a) SIGKILLs a worker mid-run, (b) SIGKILLs a durable
 # coordinator (-cluster-dir) mid-job and restarts it from its WAL on the
-# same port; both drills assert final counts equal a single-node run (see
-# docs/DISTRIBUTED.md). The -run prefix matches both TestClusterSmoke and
-# TestClusterSmokeCoordinatorRestart.
+# same port, and (c) SIGTERMs, then SIGKILLs, a single-binary
+# `ohmserve -cluster -cluster-dir D -local-worker` mid-job and restarts it
+# on D; every drill asserts final counts equal a single-node run (see
+# docs/DISTRIBUTED.md). The -run prefix matches TestClusterSmoke,
+# TestClusterSmokeCoordinatorRestart and TestClusterSmokeLocalWorker.
 cluster-smoke:
 	$(GO) test -count=1 -run TestClusterSmoke ./cmd/ohmworker
 

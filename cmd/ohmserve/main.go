@@ -5,15 +5,23 @@
 //
 //	ohmserve -dataset SB -addr :8080
 //	ohmserve -input data.hg -max-concurrent 16 -timeout 5s
+//	ohmserve -dataset SB -cluster -cluster-dir state -local-worker
 //
 //	curl -s localhost:8080/query -d '{"pattern": "0 1 2; 2 3 4"}'
+//	curl -s localhost:8080/cluster/jobs -d '{"id": "j1", "pattern": "0 1 2; 2 3 4"}'
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/debug/vars
 //
-// On SIGINT/SIGTERM the listener closes immediately, in-flight queries
-// drain (each bounded by its own deadline) up to -drain, and anything
-// still running after that is cancelled through the engine's context
-// path before the process exits.
+// Long runs are durable cluster jobs: -cluster mounts the coordinator,
+// -cluster-dir makes it WAL-backed, and -local-worker mines its jobs
+// in-process with one cluster worker speaking the same lease protocol as a
+// remote ohmworker.
+//
+// On SIGINT/SIGTERM the local worker (if any) stops first and reports its
+// unfinished remainder to the coordinator, then the listener closes,
+// in-flight queries drain (each bounded by its own deadline) up to -drain,
+// anything still running after that is cancelled through the engine's
+// context path, and finally the coordinator's WAL is closed.
 package main
 
 import (
@@ -30,6 +38,7 @@ import (
 
 	"ohminer"
 	"ohminer/internal/cluster"
+	"ohminer/internal/engine"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/serve"
@@ -53,9 +62,7 @@ func run() error {
 		maxLimit   = flag.Uint64("max-limit", 0, "cap on per-request embedding limits (0 = uncapped)")
 		workers    = flag.Int("workers", 0, "engine workers per query (0 = GOMAXPROCS)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight queries")
-		debugDelay = flag.Duration("debug-delay", 0, "inject artificial latency per query (drain/smoke testing only)")
-		ckptDir    = flag.String("checkpoint-dir", "", "enable durable jobs (/jobs endpoints): persist specs and snapshots here")
-		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Second, "snapshot period for jobs")
+		debugDelay = flag.Duration("debug-delay", 0, "inject artificial latency per query, and per embedding the -local-worker mines (drain/smoke testing only)")
 		streamDir  = flag.String("stream-dir", "", "enable the streaming subsystem (/streams endpoints): persist stream specs and snapshots here")
 		streamSnap = flag.Int("stream-snapshot-every", 1, "stream snapshot cadence in applied batches (1 = every batch, the strongest durability)")
 		streamBuf  = flag.Int("stream-buf-events", 0, "per-subscriber event buffer before slow-consumer drops (0 = 64)")
@@ -63,6 +70,7 @@ func run() error {
 		parts      = flag.Int("cluster-parts", 16, "task partitions per distributed job (more parts = finer reassignment granularity)")
 		leaseTTL   = flag.Duration("lease-ttl", 10*time.Second, "cluster lease deadline: a worker missing heartbeats this long forfeits its task")
 		clusterDir = flag.String("cluster-dir", "", "make the coordinator durable: WAL + snapshot of cluster state here, replayed on restart so running jobs survive a coordinator crash")
+		localWork  = flag.Bool("local-worker", false, "mine cluster jobs in-process: run one cluster worker against this server's own address (requires -cluster)")
 	)
 	flag.Parse()
 
@@ -92,11 +100,6 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "ohmserve: dal built in %v (%.1f MB)\n",
 		store.BuildTime().Round(time.Millisecond), float64(store.MemoryBytes())/(1<<20))
 
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return fmt.Errorf("checkpoint dir: %w", err)
-		}
-	}
 	cfg := serve.Config{
 		MaxConcurrent:       *maxConc,
 		DefaultTimeout:      *timeout,
@@ -104,8 +107,6 @@ func run() error {
 		MaxLimit:            *maxLimit,
 		Workers:             *workers,
 		DebugDelay:          *debugDelay,
-		CheckpointDir:       *ckptDir,
-		CheckpointEvery:     *ckptEvery,
 		StreamDir:           *streamDir,
 		StreamSnapshotEvery: *streamSnap,
 		StreamBufEvents:     *streamBuf,
@@ -136,8 +137,8 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "ohmserve: cluster state durable in %s (replayed jobs=%d, resurrected leases=%d)\n",
 				*clusterDir, st.ReplayedJobs, st.ResurrectedLeases)
 		}
-	} else if *clusterDir != "" {
-		return fmt.Errorf("-cluster-dir requires -cluster")
+	} else if *clusterDir != "" || *localWork {
+		return fmt.Errorf("-cluster-dir and -local-worker require -cluster")
 	}
 	srv := serve.New(ohminer.NewSession(store), cfg)
 
@@ -147,6 +148,13 @@ func run() error {
 	}
 	// The smoke test parses this line to discover the port chosen for :0.
 	fmt.Fprintf(os.Stderr, "ohmserve: listening on %s\n", ln.Addr())
+
+	var stopWorker func()
+	if *localWork {
+		if stopWorker, err = startLocalWorker(store, ln.Addr(), *workers, *debugDelay); err != nil {
+			return err
+		}
+	}
 
 	hs := &http.Server{Handler: srv.Handler()}
 	// Long-lived event subscriptions (SSE) would hold Shutdown open past
@@ -165,6 +173,14 @@ func run() error {
 	}
 	stop() // a second signal kills the process the default way
 
+	if stopWorker != nil {
+		// The local worker reports its in-flight task's partial count and
+		// unfinished remainder over HTTP, so it drains while the listener
+		// still serves; the coordinator WAL-logs the remainder, and a
+		// restart on the same -cluster-dir leases it again.
+		fmt.Fprintln(os.Stderr, "ohmserve: stopping the local worker")
+		stopWorker()
+	}
 	fmt.Fprintf(os.Stderr, "ohmserve: shutting down, draining in-flight queries (budget %v)\n", *drain)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
@@ -178,16 +194,49 @@ func run() error {
 		}
 		return err
 	}
-	// Queries are drained; now interrupt any background jobs through the
-	// engine's cancellation path, which persists a final snapshot per job
-	// so `-checkpoint-dir` + POST /jobs/{id}/resume continues them after
-	// the restart.
-	srv.Abort()
-	jobCtx, jobCancel := context.WithTimeout(context.Background(), *drain)
-	defer jobCancel()
-	if err := srv.DrainJobs(jobCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "ohmserve: jobs did not quiesce within the drain budget:", err)
-	}
+	// The deferred coord.Close runs after this return: the WAL outlives
+	// every handler that could still append to it.
 	fmt.Fprintln(os.Stderr, "ohmserve: drained cleanly, bye")
 	return nil
+}
+
+// startLocalWorker runs one cluster worker in-process against the server's
+// own listen address (loopback when it listens on a wildcard), speaking the
+// same lease, heartbeat and report protocol as a remote ohmworker. A
+// positive throttle sleeps that long per mined embedding (smoke testing).
+// The returned stop cancels the worker and waits until it has reported its
+// in-flight task.
+func startLocalWorker(store *ohminer.Store, addr net.Addr, workers int, throttle time.Duration) (stop func(), err error) {
+	host, port, err := net.SplitHostPort(addr.String())
+	if err != nil {
+		return nil, err
+	}
+	if ip := net.ParseIP(host); ip == nil || ip.IsUnspecified() {
+		host = "127.0.0.1"
+	}
+	cfg := cluster.WorkerConfig{
+		Coordinator: "http://" + net.JoinHostPort(host, port),
+		Name:        "local",
+		Store:       store,
+		Engine:      engine.Options{Workers: workers},
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "ohmserve: local worker: "+format+"\n", args...)
+		},
+	}
+	if throttle > 0 {
+		cfg.OnEmbedding = func([]uint32) { time.Sleep(throttle) }
+	}
+	w, err := cluster.NewWorker(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := w.Run(ctx); !errors.Is(err, context.Canceled) {
+			fmt.Fprintln(os.Stderr, "ohmserve: local worker stopped:", err)
+		}
+	}()
+	return func() { cancel(); <-done }, nil
 }

@@ -348,6 +348,94 @@ func TestClusterSmokeCoordinatorRestart(t *testing.T) {
 	}
 }
 
+// TestClusterSmokeLocalWorker is the single-binary durable-job drill: one
+// ohmserve -cluster -cluster-dir D -local-worker and no ohmworker at all.
+// The job is interrupted mid-run, once by SIGTERM (the local worker must
+// spill its unfinished remainder to the coordinator's WAL before the server
+// exits) and once by SIGKILL (only what the WAL already made durable
+// survives). Either way a restart on D must finish the job with counts
+// identical to a single-node run.
+func TestClusterSmokeLocalWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke test builds and runs child binaries")
+	}
+	dir := t.TempDir()
+	dataPath, singleOrdered, singleUnique := smokeWorkload(t, dir)
+	serveBin, _ := buildSmokeBinaries(t, dir)
+
+	for _, sig := range []syscall.Signal{syscall.SIGTERM, syscall.SIGKILL} {
+		t.Run(sig.String(), func(t *testing.T) {
+			stateDir := t.TempDir()
+			// The 1ms sleep per embedding stretches each ~220-embedding task
+			// past 100ms, so the signal lands while a lease is in flight.
+			start := func() (*exec.Cmd, *logWatcher, string) {
+				srv := exec.Command(serveBin,
+					"-cluster", "-local-worker",
+					"-addr", "127.0.0.1:0",
+					"-input", dataPath,
+					"-cluster-parts", "16",
+					"-cluster-dir", stateDir,
+					"-workers", "2",
+					"-debug-delay", "1ms")
+				log := watchStderr(t, srv, "ohmserve")
+				if err := srv.Start(); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Process.Kill() })
+				addr, ok := log.waitFor("ohmserve: listening on ", 30*time.Second)
+				if !ok {
+					t.Fatalf("ohmserve never announced its address; logs:\n%s", log.String())
+				}
+				return srv, log, "http://" + addr
+			}
+
+			srv, log, base := start()
+			resp, err := http.Post(base+"/cluster/jobs", "application/json",
+				strings.NewReader(`{"id": "local", "pattern": "0 1; 0 2"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("create cluster job: status %d", resp.StatusCode)
+			}
+			if _, ok := log.waitFor("local worker: lease ", 60*time.Second); !ok {
+				t.Fatalf("the local worker never leased a task; logs:\n%s", log.String())
+			}
+			if err := srv.Process.Signal(sig); err != nil {
+				t.Fatal(err)
+			}
+			err = srv.Wait()
+			if sig == syscall.SIGTERM {
+				// Graceful: exit 0, and the interrupted task came back as a
+				// remainder rather than being abandoned to lease expiry.
+				if err != nil {
+					t.Fatalf("ohmserve exit after SIGTERM: %v\nlogs:\n%s", err, log.String())
+				}
+				if !strings.Contains(log.String(), "local worker: partial job=local") {
+					t.Fatalf("SIGTERM did not spill the in-flight task's remainder; logs:\n%s", log.String())
+				}
+			}
+
+			srv, log, base = start()
+			if line, ok := log.waitFor("replayed jobs=", time.Second); !ok || strings.HasPrefix(line, "0") {
+				t.Fatalf("restarted ohmserve replayed no jobs (line %q); logs:\n%s", line, log.String())
+			}
+			st := waitSmokeJobDone(t, base, "local", 120*time.Second, log)
+			if st.Ordered != singleOrdered || st.Unique != singleUnique {
+				t.Errorf("after %v and restart: ordered=%d unique=%d, single-node %d/%d",
+					sig, st.Ordered, st.Unique, singleOrdered, singleUnique)
+			}
+			if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Wait(); err != nil {
+				t.Errorf("restarted ohmserve exit: %v\nlogs:\n%s", err, log.String())
+			}
+		})
+	}
+}
+
 // logWatcher collects a child's stderr and lets the test wait for marker
 // lines.
 type logWatcher struct {

@@ -14,8 +14,8 @@
 // The file format is versioned, little-endian, and ends in a CRC32C trailer
 // over every preceding byte (shared with the dal store format via
 // internal/crcio): torn writes and bit-flips are rejected at load time.
-// WriteFile is atomic (temp file in the target directory + rename), so a
-// crash mid-checkpoint leaves the previous snapshot intact.
+// WriteFile is atomic (temp file in the target directory, fsync, rename),
+// so a crash mid-checkpoint leaves the previous snapshot intact.
 package checkpoint
 
 import (
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"ohminer/internal/crcio"
@@ -197,10 +196,10 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		}
 		t := Task{Depth: hdr[0]}
 		var err error
-		if t.Prefix, err = readU32s(cr, hdr[1]); err != nil {
+		if t.Prefix, err = crcio.ReadUint32s(cr, hdr[1]); err != nil {
 			return nil, fmt.Errorf("%w: short task prefix: %v", ErrCorrupt, err)
 		}
-		if t.Cands, err = readU32s(cr, hdr[2]); err != nil {
+		if t.Cands, err = crcio.ReadUint32s(cr, hdr[2]); err != nil {
 			return nil, fmt.Errorf("%w: short task candidates: %v", ErrCorrupt, err)
 		}
 		s.Frontier = append(s.Frontier, t)
@@ -211,62 +210,11 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// readU32s reads n little-endian uint32s, growing the buffer incrementally
-// so a corrupt length fails with a short read instead of allocating the
-// advertised size up front.
-func readU32s(r io.Reader, n uint32) ([]uint32, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	const chunkMax = 1 << 16
-	buf := make([]uint32, min(n, chunkMax))
-	out := make([]uint32, 0, len(buf))
-	for remaining := n; remaining > 0; {
-		part := buf[:min(remaining, chunkMax)]
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-		remaining -= uint32(len(part))
-	}
-	return out, nil
-}
-
-// WriteFile atomically persists the snapshot at path: the bytes go to a
-// temporary file in the same directory, are fsynced, and replace path with
-// a rename, so a crash mid-write leaves the previous snapshot intact.
-// It returns the number of bytes written.
+// WriteFile atomically persists the snapshot at path (crcio.WriteFileAtomic),
+// so a crash mid-write leaves the previous snapshot intact. It returns the
+// number of bytes written.
 func (s *Snapshot) WriteFile(path string) (int64, error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := s.Encode(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	size, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return size, nil
+	return crcio.WriteFileAtomic(path, s.Encode)
 }
 
 // ReadFile loads and validates a snapshot written by WriteFile.
@@ -280,7 +228,7 @@ func ReadFile(path string) (*Snapshot, error) {
 }
 
 // FileSink persists every snapshot to one path, atomically replacing the
-// previous one — the standard sink for CLI runs and ohmserve jobs.
+// previous one — the standard sink for CLI runs.
 type FileSink struct {
 	Path string
 }

@@ -269,7 +269,7 @@ func (c *Coordinator) degradedErr() error {
 }
 
 // RejectDegraded sheds one HTTP request with 503 + Retry-After and counts
-// it; serve's /query and /jobs handlers use it so no layer accepts work the
+// it; serve's /query handler uses it so no layer accepts work the
 // coordinator cannot make durable.
 func (c *Coordinator) RejectDegraded(w http.ResponseWriter, err error) {
 	c.degradedRejects.Add(1)

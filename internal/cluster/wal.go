@@ -294,6 +294,21 @@ func scanWAL(data []byte) ([]walRecord, int64, error) {
 	return recs, pos, nil
 }
 
+// encodeState frames a compacted snapshot: header, JSON walState, and a
+// CRC-32C over both.
+func encodeState(state *walState) ([]byte, error) {
+	payload, err := json.Marshal(state)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, walHdrLen+len(payload)+4)
+	binary.LittleEndian.PutUint32(buf, stateMagic)
+	binary.LittleEndian.PutUint32(buf[4:], stateVersion)
+	copy(buf[walHdrLen:], payload)
+	binary.LittleEndian.PutUint32(buf[walHdrLen+len(payload):], crcio.Checksum(buf[:walHdrLen+len(payload)]))
+	return buf, nil
+}
+
 // loadState reads and verifies the compacted snapshot (nil when absent).
 func loadState(path string) (*walState, error) {
 	data, err := os.ReadFile(path)
@@ -303,6 +318,11 @@ func loadState(path string) (*walState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: read state snapshot: %w", err)
 	}
+	return decodeState(data)
+}
+
+// decodeState verifies and parses the bytes of a compacted snapshot.
+func decodeState(data []byte) (*walState, error) {
 	if len(data) < walHdrLen+4 {
 		return nil, fmt.Errorf("%w: state snapshot too short", ErrCorrupt)
 	}
@@ -454,15 +474,10 @@ func (w *wal) stats() (records, bytes, compactions int64) {
 // atomic, and replay skips log records the snapshot already folds in (by
 // LastSeq), so dying between rename and truncate only costs dead bytes.
 func (w *wal) compactTo(state *walState) error {
-	payload, err := json.Marshal(state)
+	buf, err := encodeState(state)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, walHdrLen+len(payload)+4)
-	binary.LittleEndian.PutUint32(buf, stateMagic)
-	binary.LittleEndian.PutUint32(buf[4:], stateVersion)
-	copy(buf[walHdrLen:], payload)
-	binary.LittleEndian.PutUint32(buf[walHdrLen+len(payload):], crcio.Checksum(buf[:walHdrLen+len(payload)]))
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -472,23 +487,11 @@ func (w *wal) compactTo(state *walState) error {
 	if w.wedged {
 		return errWALWedged
 	}
-	tmp, err := os.CreateTemp(w.dir, ".state-*")
-	if err != nil {
-		w.err = err
+	_, err = crcio.WriteFileAtomic(filepath.Join(w.dir, stateFile), func(f io.Writer) error {
+		_, err := f.Write(buf)
 		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, filepath.Join(w.dir, stateFile))
-	}
+	})
 	if err != nil {
-		os.Remove(tmpName)
 		w.err = err
 		return err
 	}

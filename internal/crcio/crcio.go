@@ -1,15 +1,21 @@
-// Package crcio provides the CRC32-Castagnoli checksum plumbing shared by
-// the on-disk formats of this repository: the dal store file and the
-// checkpoint snapshot both end in a little-endian CRC32C trailer computed
-// over every preceding byte, so torn writes and bit-flips are detected at
-// load time instead of surfacing as silently wrong mining results.
+// Package crcio provides the on-disk plumbing shared by the binary formats
+// of this repository: the CRC32-Castagnoli trailer (the dal store file and
+// the checkpoint and stream snapshots all end in a little-endian CRC32C
+// computed over every preceding byte, so torn writes and bit-flips are
+// detected at load time instead of surfacing as silently wrong mining
+// results), the bounded-allocation reader their decoders share, and the one
+// atomic temp+fsync+rename writer every durable file goes through.
 package crcio
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -75,4 +81,61 @@ func (r *Reader) CheckTrailer(what string) error {
 		return fmt.Errorf("%s: corrupt payload: checksum mismatch (file %#x, computed %#x)", what, got, want)
 	}
 	return nil
+}
+
+// readChunk bounds how many elements ReadUint32s allocates ahead of the
+// bytes actually read.
+const readChunk = 1 << 12
+
+// ReadUint32s reads n little-endian uint32s, growing the result one chunk at
+// a time so a corrupt length fails with a short read instead of allocating
+// the advertised size up front. n == 0 returns nil.
+func ReadUint32s(r io.Reader, n uint32) ([]uint32, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]uint32, 0, min(n, readChunk))
+	for have := uint32(0); have < n; have = uint32(len(out)) {
+		k := int(min(n-have, readChunk))
+		out = slices.Grow(out, k)[:len(out)+k]
+		if err := binary.Read(r, binary.LittleEndian, out[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// WriteFileAtomic persists what write produces at path: the bytes go
+// through a buffered writer into a temporary file in path's directory,
+// which is fsynced, closed and renamed over path, so a crash mid-write
+// leaves the previous file intact and never a torn one. It returns the
+// number of bytes written.
+func WriteFileAtomic(path string, write func(io.Writer) error) (int64, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return 0, err
+	}
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return 0, err
+	}
+	return size, nil
 }

@@ -60,17 +60,11 @@ func (s *Store) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SaveFile writes the store to the named file.
+// SaveFile atomically writes the store to the named file (temp file,
+// fsync, rename), so a crash mid-save leaves any previous store intact.
 func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	_, err := crcio.WriteFileAtomic(path, s.Save)
+	return err
 }
 
 // Load reads a store previously written by Save and attaches it to h, which

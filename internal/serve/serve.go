@@ -1,7 +1,15 @@
 // Package serve implements the ohmserve HTTP query service: a JSON query
 // endpoint over a plan-cached ohminer.Session, with per-request
 // timeout/limit mapping, concurrency admission control, expvar metrics,
-// pprof, and cooperative drain for graceful shutdown.
+// pprof, and cooperative drain for graceful shutdown; the streams
+// subsystem (stream.go); and, when a cluster.Coordinator is attached, the
+// coordinator's endpoints on the same mux.
+//
+// Queries are bounded and answer inline. Runs too long for a request
+// timeout are not a serve concern: they are durable cluster jobs
+// (POST /cluster/jobs), logged ahead to the coordinator's WAL and mined by
+// workers over the lease protocol — remote ohmworkers, or the in-process
+// worker that ohmserve -local-worker starts for single-binary use.
 //
 // The design follows the deployment the paper's API discussion envisions
 // (and HGMatch argues for): the store is built once, queries arrive
@@ -52,15 +60,11 @@ type Config struct {
 	// mining. Test hook for the graceful-drain smoke test; zero in
 	// production.
 	DebugDelay time.Duration
-	// CheckpointDir enables the jobs subsystem (POST /jobs): job specs,
-	// rolling snapshots, and results are persisted there so long runs
-	// survive a restart. Empty disables /jobs.
-	CheckpointDir string
-	// CheckpointEvery is the snapshot period for jobs (0 = 5s).
-	CheckpointEvery time.Duration
 	// Cluster, when set, mounts the distributed-mining coordinator's
 	// endpoints (/cluster, /cluster/jobs, and the worker lease protocol) on
-	// this server — ohmserve's -cluster mode. Nil serves single-node only.
+	// this server — ohmserve's -cluster mode, and the only durable job
+	// system (long runs go to POST /cluster/jobs). Nil serves queries and
+	// streams only.
 	Cluster *cluster.Coordinator
 	// StreamDir enables the streams subsystem (POST /streams): stream
 	// specs and rolling snapshots are persisted there so streams survive a
@@ -77,11 +81,6 @@ type Config struct {
 	// StreamRing bounds the per-query event ring kept for reconnect
 	// backfill (?after=N) (0 = 256).
 	StreamRing int
-
-	// debugOnEmbedding throttles job mining per embedding. Test hook (the
-	// interrupt/resume tests need runs that outlast a checkpoint period);
-	// nil in production.
-	debugOnEmbedding func([]uint32)
 }
 
 func (c Config) withDefaults() Config {
@@ -93,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 5 * time.Second
 	}
 	if c.StreamSnapshotEvery <= 0 {
 		c.StreamSnapshotEvery = 1
@@ -132,16 +128,8 @@ type Server struct {
 	rejected    expvar.Int // refused before mining (bad request, full queue)
 	errors      expvar.Int // queries that failed after admission
 	truncations expvar.Int // truncated results served
-	inFlight    expvar.Int // queries/jobs currently mining
-	jobsStarted expvar.Int // jobs created via POST /jobs
-	jobsResumed expvar.Int // jobs restarted via POST /jobs/{id}/resume
+	inFlight    expvar.Int // queries currently mining
 	vars        *expvar.Map
-
-	// Jobs subsystem (enabled by Config.CheckpointDir; see jobs.go).
-	jobsMu sync.Mutex
-	jobs   map[string]*job // guarded by jobsMu
-	jobSeq atomic.Uint64
-	jobWG  sync.WaitGroup
 
 	// Streams subsystem (enabled by Config.StreamDir; see stream.go).
 	streamMu  sync.Mutex
@@ -168,7 +156,6 @@ func New(sess *ohminer.Session, cfg Config) *Server {
 		sess:    sess,
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		jobs:    map[string]*job{},
 		streams: map[string]*srvStream{},
 	}
 	s.abortCtx, s.abortStop = context.WithCancel(context.Background())
@@ -179,8 +166,6 @@ func New(sess *ohminer.Session, cfg Config) *Server {
 	m.Set("errors", &s.errors)
 	m.Set("truncations", &s.truncations)
 	m.Set("in_flight", &s.inFlight)
-	m.Set("jobs", &s.jobsStarted)
-	m.Set("jobs_resumed", &s.jobsResumed)
 	m.Set("streams", &s.streamsCreated)
 	m.Set("streams_reloaded", &s.streamsReloaded)
 	m.Set("stream_batches", &s.streamBatches)
@@ -228,9 +213,7 @@ func (s *Server) DisconnectStreams() { s.drainStop() }
 // Session returns the underlying query session.
 func (s *Server) Session() *ohminer.Session { return s.sess }
 
-// Handler returns the service mux: POST /query, the jobs endpoints
-// (GET /jobs, POST /jobs, GET /jobs/{id}, POST /jobs/{id}/resume — 503
-// unless Config.CheckpointDir is set), the streams endpoints
+// Handler returns the service mux: POST /query, the streams endpoints
 // (POST /streams, GET /streams/{id}, POST /streams/{id}/batches,
 // POST /streams/{id}/queries, GET /streams/{id}/queries/{qid}/events —
 // 503 unless Config.StreamDir is set), the cluster coordinator endpoints
@@ -240,10 +223,6 @@ func (s *Server) Session() *ohminer.Session { return s.sess }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("GET /jobs", s.handleJobList)
-	mux.HandleFunc("POST /jobs", s.handleJobCreate)
-	mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("POST /jobs/{id}/resume", s.handleJobResume)
 	mux.HandleFunc("POST /streams", s.handleStreamCreate)
 	mux.HandleFunc("GET /streams/{id}", s.handleStreamStatus)
 	mux.HandleFunc("POST /streams/{id}/batches", s.handleStreamBatch)

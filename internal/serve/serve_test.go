@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ohminer"
+	"ohminer/internal/cluster"
 )
 
 // fixture: a 3-edge chain hypergraph. Pattern "0 1; 1 2" has 4 ordered /
@@ -25,9 +26,9 @@ func testServer(t *testing.T, cfg Config) *Server {
 	return New(ohminer.NewSession(ohminer.NewStore(h)), cfg)
 }
 
-func postQuery(t *testing.T, url string, body string) (*http.Response, []byte) {
+func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/query", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +38,11 @@ func postQuery(t *testing.T, url string, body string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
+}
+
+func postQuery(t *testing.T, url string, body string) (*http.Response, []byte) {
+	t.Helper()
+	return postJSON(t, url+"/query", body)
 }
 
 func TestQueryOK(t *testing.T) {
@@ -139,6 +145,26 @@ func TestQueryLimitTruncates(t *testing.T) {
 }
 
 // TestMaxLimitApplied: the server-side cap applies to unlimited requests.
+// TestQueryTrailingGarbage: a body holding a second JSON value after the
+// request object is a 400, not a silently half-read query.
+func TestQueryTrailingGarbage(t *testing.T) {
+	s := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`{"pattern": "0 1; 1 2"}{"pattern": "0 1"}`,
+		`{"pattern": "0 1; 1 2"} trailing`,
+	} {
+		resp, out := postQuery(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("trailing garbage %q: status %d want 400 (%s)", body, resp.StatusCode, out)
+		}
+		if !strings.Contains(string(out), "trailing") {
+			t.Errorf("trailing garbage %q: error %q does not name the cause", body, out)
+		}
+	}
+}
+
 func TestMaxLimitApplied(t *testing.T) {
 	s := testServer(t, Config{MaxLimit: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -289,5 +315,46 @@ func TestTimeoutReturnsPartial(t *testing.T) {
 	var qr QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterMount: with Config.Cluster set, the coordinator's endpoints
+// are served from the same mux as the query service; without it, /cluster
+// does not exist.
+func TestClusterMount(t *testing.T) {
+	s := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	resp, err := http.Get(ts.URL + "/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ts.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Fatal("GET /cluster answered 200 on a server without a coordinator")
+	}
+
+	base := testServer(t, Config{})
+	coord, err := cluster.New(base.Session().Store(), cluster.Config{Parts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(base.Session(), Config{Cluster: coord})
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	resp, err = http.Get(ts2.URL + "/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /cluster: status %d, want 200", resp.StatusCode)
+	}
+	var st cluster.ClusterStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode cluster status: %v", err)
+	}
+	if st.GraphFP != base.Session().Store().Hypergraph().Fingerprint() {
+		t.Error("mounted coordinator reports the wrong graph fingerprint")
 	}
 }

@@ -4,9 +4,8 @@ package serve
 // a server-side stream.Miner fed by sequenced batches over HTTP; standing
 // queries registered on it emit one delta event per applied batch, pushed
 // to subscribers over Server-Sent Events (with a long-poll fallback for
-// clients that cannot hold an SSE connection). Durability follows the jobs
-// subsystem's discipline — everything needed to restart lives under
-// StreamDir, all writes atomic:
+// clients that cannot hold an SSE connection). Everything needed to restart
+// lives under StreamDir, every write atomic (crcio.WriteFileAtomic):
 //
 //	<id>.stream  the stream spec — written at creation
 //	<id>.ohmt    the rolling CRC-framed snapshot — replaced on cadence
@@ -26,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"ohminer"
+	"ohminer/internal/crcio"
 	"ohminer/internal/engine"
 	"ohminer/internal/stream"
 )
@@ -41,7 +42,8 @@ import (
 // StreamSpec is the persisted description of a stream and the body of
 // POST /streams (plus the optional "id").
 type StreamSpec struct {
-	// ID names the stream (same charset as job IDs). Empty picks one.
+	// ID names the stream (letters, digits, '-', '_'; ≤64 chars). Empty
+	// picks one.
 	ID string `json:"id,omitempty"`
 	// NumVertices fixes the vertex universe.
 	NumVertices int `json:"num_vertices"`
@@ -249,7 +251,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if spec.ID == "" {
 		spec.ID = fmt.Sprintf("stream-%d", s.streamSeq.Add(1))
 	}
-	if !validJobID(spec.ID) {
+	if !validStreamID(spec.ID) {
 		s.reject(w, http.StatusBadRequest, "bad stream id (letters, digits, '-', '_'; <=64 chars)")
 		return
 	}
@@ -274,7 +276,10 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := json.MarshalIndent(spec, "", "  ")
 	if err == nil {
-		err = writeFileAtomic(s.streamPath(spec.ID, ".stream"), append(data, '\n'))
+		_, err = crcio.WriteFileAtomic(s.streamPath(spec.ID, ".stream"), func(w io.Writer) error {
+			_, err := w.Write(append(data, '\n'))
+			return err
+		})
 	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "persist spec: " + err.Error()})
@@ -299,6 +304,25 @@ func (s *Server) handleStreamStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// validStreamID accepts exactly the names that are safe as file stems: no
+// separators, no dots, nothing a path traversal could smuggle through.
+func validStreamID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for _, c := range id {
+		switch {
+		case c == '-' || c == '_':
+		case '0' <= c && c <= '9':
+		case 'a' <= c && c <= 'z':
+		case 'A' <= c && c <= 'Z':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // lookupStream resolves {id} or answers the request itself.
 func (s *Server) lookupStream(w http.ResponseWriter, r *http.Request) (*srvStream, bool) {
 	if !s.streamsEnabled() {
@@ -306,7 +330,7 @@ func (s *Server) lookupStream(w http.ResponseWriter, r *http.Request) (*srvStrea
 		return nil, false
 	}
 	id := r.PathValue("id")
-	if !validJobID(id) {
+	if !validStreamID(id) {
 		s.reject(w, http.StatusBadRequest, "bad stream id")
 		return nil, false
 	}

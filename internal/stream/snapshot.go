@@ -13,13 +13,14 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 
 	"ohminer/internal/crcio"
@@ -112,31 +113,6 @@ func corruptf(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// readVerts reads n uint32s with chunked allocation so a corrupt length
-// cannot allocate unbounded memory before the read fails.
-func readVerts(r io.Reader, n uint32) ([]uint32, error) {
-	const chunkMax = 1 << 12
-	out := make([]uint32, 0, min32(n, chunkMax))
-	buf := make([]uint32, min32(n, chunkMax))
-	remaining := n
-	for remaining > 0 {
-		part := buf[:min32(remaining, chunkMax)]
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-		remaining -= uint32(len(part))
-	}
-	return out, nil
-}
-
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Decode reads, checksums, and validates one snapshot. It never panics on
 // corrupt input: framing errors, truncated tails, flipped bytes (checksum),
 // and semantically inconsistent contents all return an error wrapping
@@ -177,7 +153,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		if n == 0 || n > maxSnapEdgeLen {
 			return nil, corruptf("edge %d: vertex count %d out of range", i, n)
 		}
-		verts, err := readVerts(cr, n)
+		verts, err := crcio.ReadUint32s(cr, n)
 		if err != nil {
 			return nil, corruptf("edge %d: short vertex list: %v", i, err)
 		}
@@ -294,39 +270,11 @@ func Unmarshal(b []byte) (*Snapshot, error) {
 	return Decode(bytes.NewReader(b))
 }
 
-// WriteFile atomically persists the snapshot at path (temp + fsync +
-// rename), so a crash mid-write leaves the previous snapshot intact.
+// WriteFile atomically persists the snapshot at path (crcio.WriteFileAtomic:
+// buffered temp file, fsync, rename), so a crash mid-write leaves the
+// previous snapshot intact.
 func (s *Snapshot) WriteFile(path string) (int64, error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ohmt-*")
-	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := s.Encode(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	size, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return size, nil
+	return crcio.WriteFileAtomic(path, s.Encode)
 }
 
 // ReadFile loads and validates a snapshot written by WriteFile.
@@ -336,7 +284,7 @@ func ReadFile(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Decode(f)
+	return Decode(bufio.NewReader(f))
 }
 
 // Sink receives stream snapshots on the configured cadence.
@@ -420,7 +368,7 @@ func (m *Miner) snapshotLocked() *Snapshot {
 	for id := range m.queries {
 		qids = append(qids, id)
 	}
-	sortU64(qids)
+	slices.Sort(qids)
 	for _, id := range qids {
 		q := m.queries[id]
 		s.Queries = append(s.Queries, SnapshotQuery{
@@ -430,14 +378,6 @@ func (m *Miner) snapshotLocked() *Snapshot {
 		})
 	}
 	return s
-}
-
-func sortU64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j-1] > v[j]; j-- {
-			v[j-1], v[j] = v[j], v[j-1]
-		}
-	}
 }
 
 func (m *Miner) writeSnapshotLocked() error {

@@ -174,8 +174,7 @@ func (s *Session) MineContext(ctx context.Context, p *Pattern, opts ...Option) (
 // ResumeFromCheckpoint) through the session's plan cache: the pattern
 // compiles (or is fetched) exactly as MineContext would, the snapshot's
 // fingerprints are verified against that plan and the store, and mining
-// proceeds from the saved frontier with exactly-once counting. This is the
-// entry point the ohmserve jobs subsystem drives to survive restarts.
+// proceeds from the saved frontier with exactly-once counting.
 // Because plans are canonical, a snapshot written through one literal of a
 // pattern resumes through any isomorphic literal.
 func (s *Session) ResumeContext(ctx context.Context, p *Pattern, snap *CheckpointSnapshot, opts ...Option) (Result, error) {

@@ -3,8 +3,11 @@ package ohminer
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func sessionFixture(t *testing.T) (*Session, *Pattern) {
@@ -307,5 +310,66 @@ func TestSessionLabeledKeying(t *testing.T) {
 	}
 	if r1.Ordered == 0 && r2.Ordered == 0 {
 		t.Fatal("degenerate fixture: no labeled matches at all")
+	}
+}
+
+// TestSessionCheckpointResume drives the public checkpoint API end to end:
+// a checkpointed MineContext is cancelled mid-run from inside its
+// WithEmbeddings callback, the snapshot the cancellation path wrote is read
+// back with ReadCheckpoint, and ResumeContext on a fresh session over the
+// same data finishes with exactly the uninterrupted count.
+func TestSessionCheckpointResume(t *testing.T) {
+	// A 60-edge star: "0 1; 0 2" has 60×59 ordered embeddings.
+	edges := make([][]uint32, 60)
+	for i := range edges {
+		edges[i] = []uint32{0, uint32(i) + 1}
+	}
+	h, err := BuildHypergraph(61, edges, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ParsePattern("0 1; 0 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewSession(NewStore(h)).Mine(p)
+	if err != nil || full.Ordered != 60*59 {
+		t.Fatalf("uninterrupted run: ordered=%d err=%v, want %d", full.Ordered, err, 60*59)
+	}
+
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen atomic.Int64
+	_, err = NewSession(NewStore(h)).MineContext(ctx, p,
+		WithWorkers(2),
+		WithCheckpoint(NewCheckpointFileSink(path), 0),
+		WithEmbeddings(func([]uint32) {
+			// Cancel a third of the way in, then throttle: the engine sees
+			// the cancellation asynchronously, and an unthrottled run could
+			// finish the star before it does, leaving nothing to resume.
+			if seen.Add(1) >= int64(full.Unique/3) {
+				cancel()
+				time.Sleep(time.Millisecond)
+			}
+		}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	snap, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("read the cancellation snapshot: %v", err)
+	}
+	if snap.Ordered == 0 || snap.Ordered >= full.Ordered || len(snap.Frontier) == 0 {
+		t.Fatalf("snapshot holds ordered=%d with %d frontier tasks; want a partial run",
+			snap.Ordered, len(snap.Frontier))
+	}
+
+	res, err := NewSession(NewStore(h)).ResumeContext(context.Background(), p, snap, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ordered != full.Ordered || res.Truncated {
+		t.Fatalf("resumed ordered=%d truncated=%v, want exactly %d", res.Ordered, res.Truncated, full.Ordered)
 	}
 }
