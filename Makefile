@@ -29,12 +29,13 @@ bench:
 bench-json:
 	$(GO) run ./cmd/ohmbench -exp sched,kern,sym,stream -json BENCH_engine.json
 
-# Fast correctness gate over the kernel and symmetry-breaking ablations:
-# runs the reduced-size grids and fails on any count disagreement between
-# the scalar and adaptive kernels or between restricted and unrestricted
-# plans.
+# Fast correctness gate over the kernel, symmetry-breaking and streaming
+# ablations: runs the reduced-size grids and fails on any count
+# disagreement between the scalar and adaptive kernels, between restricted
+# and unrestricted plans, between rebuilt and incrementally maintained
+# streams, or between a streamed total and a from-scratch count.
 bench-smoke:
-	$(GO) run ./cmd/ohmbench -exp kern,sym -quick
+	$(GO) run ./cmd/ohmbench -exp kern,sym,stream -quick
 
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/hypergraph

@@ -187,16 +187,11 @@ func run() error {
 	} else {
 		res, err = engine.MineContext(ctx, store, p, opts)
 	}
-	var truncCause error
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			truncCause = errDeadline
-		case errors.Is(err, context.Canceled):
-			truncCause = errInterrupted
-		default:
-			return err
-		}
+	truncCause, fatal := truncation(res, err)
+	if fatal != nil {
+		return fatal
+	}
+	if truncCause != nil {
 		fmt.Fprintf(os.Stderr, "ohminer: %v — partial counts follow\n", err)
 	}
 	if *showPlan {
@@ -218,7 +213,8 @@ func run() error {
 		return cerr
 	}
 	if truncCause != nil {
-		if *ckptPath != "" {
+		// A run cancelled before its first checkpoint has no snapshot.
+		if _, serr := os.Stat(*ckptPath); *ckptPath != "" && serr == nil {
 			fmt.Fprintf(os.Stderr, "ohminer: snapshot retained at %s — rerun with -resume to continue\n", *ckptPath)
 		}
 		return truncCause
@@ -228,4 +224,26 @@ func run() error {
 		os.Remove(*ckptPath)
 	}
 	return nil
+}
+
+// truncation maps the mining error to the tag of a truncated run
+// (errInterrupted, errDeadline), or returns a non-context error as fatal.
+// The decision is made by res.Truncated: a stop that lands after the
+// workers drained every task leaves complete counts and no snapshot, so it
+// is a clean completion even though the engine reports the context error.
+func truncation(res engine.Result, err error) (cause, fatal error) {
+	switch {
+	case err == nil:
+		return nil, nil
+	case errors.Is(err, context.DeadlineExceeded):
+		cause = errDeadline
+	case errors.Is(err, context.Canceled):
+		cause = errInterrupted
+	default:
+		return nil, err
+	}
+	if !res.Truncated {
+		return nil, nil
+	}
+	return cause, nil
 }

@@ -142,6 +142,12 @@ func run() error {
 	}
 	srv := serve.New(ohminer.NewSession(store), cfg)
 
+	// Catch SIGINT/SIGTERM before announcing the address: a signal sent
+	// once the server is observably up must start the drain, not kill the
+	// process the default way.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -164,8 +170,6 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err

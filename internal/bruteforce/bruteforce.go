@@ -18,6 +18,14 @@ import (
 // Count returns the number of ordered embeddings of p in h (one per pattern
 // automorphism for each unordered embedding).
 func Count(h *hypergraph.Hypergraph, p *pattern.Pattern) uint64 {
+	return CountAdmitted(h, p, nil)
+}
+
+// CountAdmitted is Count restricted to the ordered embeddings whose every
+// binding passes admit(j, e) — data hyperedge e bound to pattern hyperedge
+// j; a nil admit accepts everything. The oracle for anchored (seeded and
+// masked) engine runs.
+func CountAdmitted(h *hypergraph.Hypergraph, p *pattern.Pattern, admit func(j int, e uint32) bool) uint64 {
 	m := p.NumEdges()
 	want := p.Signature()
 	var wantLab sig.LabelSignature
@@ -63,7 +71,7 @@ func Count(h *hypergraph.Hypergraph, p *pattern.Pattern) uint64 {
 					break
 				}
 			}
-			if dup {
+			if dup || (admit != nil && !admit(pos, c)) {
 				continue
 			}
 			tuple[pos] = c

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ohminer/internal/checkpoint"
 )
 
 // TestContextCancelPartialResult is the acceptance test for engine
@@ -74,6 +77,33 @@ func TestContextPreCancelled(t *testing.T) {
 	}
 	if res.Ordered != 0 {
 		t.Fatalf("pre-cancelled run mined %d embeddings", res.Ordered)
+	}
+	if !res.Truncated {
+		t.Fatal("pre-cancelled run reported a complete (un-truncated) result")
+	}
+
+	// A checkpointed run still leaves its whole search space behind, so a
+	// cluster lease cancelled before mining starts spills a remainder
+	// instead of reporting the task done with zero embeddings.
+	full, err := MineWithPlan(store, plan, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &checkpoint.MemSink{}
+	res, err = MineWithPlanContext(ctx, store, plan, Options{Workers: 2, Checkpoint: sink})
+	if !errors.Is(err, context.Canceled) || !res.Truncated || res.Ordered != 0 {
+		t.Fatalf("checkpointed pre-cancelled run: err=%v truncated=%v ordered=%d", err, res.Truncated, res.Ordered)
+	}
+	snap, err := checkpoint.Decode(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatalf("no usable snapshot: %v", err)
+	}
+	resumed, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Ordered != full.Ordered || resumed.Truncated {
+		t.Fatalf("resume of the pre-cancelled snapshot: %d (truncated=%v), full run %d", resumed.Ordered, resumed.Truncated, full.Ordered)
 	}
 }
 

@@ -156,11 +156,26 @@ type Options struct {
 	// ordering strategy the paper adopts from HGMatch (Sec. 4.3.2), instead
 	// of the purely structural connectivity order.
 	DataAwareOrder bool
-	// PositionFilter, when set, restricts which data hyperedge may bind to
-	// each matching-order position (anchored enumeration; used by the
-	// incremental miner to count embeddings touching newly inserted
-	// hyperedges exactly once).
-	PositionFilter func(pos int, edge uint32) bool
+	// Seeds, when non-nil, replaces the candidate pool of the first
+	// matching-order position: a fresh run binds position 0 only to these
+	// hyperedge IDs (each still checked against the step's degree, labels
+	// and Masks[0]) instead of scanning the step's whole degree class. IDs
+	// must be distinct and below the store's hyperedge count. Anchored
+	// stream counting seeds anchor-first plans with one batch's changed
+	// edges, so a run costs what the batch touches, not what the graph
+	// holds.
+	Seeds []uint32
+	// Masks, when non-nil, holds one hyperedge mask per matching-order
+	// position (len = pattern hyperedges): position t binds only hyperedges
+	// whose bit is set in Masks[t]; a nil entry admits every hyperedge. The
+	// check is one bit test per candidate.
+	//
+	// A run with Seeds or Masks is anchored: the admissible set differs per
+	// position, so a symmetry-breaking restriction could reject the one
+	// orbit member the seeds and masks admit. The plan-compiling entry
+	// points therefore compile such runs without restrictions, and a
+	// restricted plan with Seeds or Masks is refused.
+	Masks []EdgeMask
 	// Checkpoint, when set, makes the run crash-safe: on the CheckpointEvery
 	// timer — and on every final stop (cancellation, deadline, limit) — the
 	// driver quiesces the workers at their per-candidate stop check,
@@ -180,6 +195,54 @@ type Options struct {
 	// publication and steals on small inputs.
 	splitThreshold int
 }
+
+// Anchored reports whether the run restricts which hyperedges positions may
+// bind (Seeds or Masks set); see Options.Masks.
+func (o Options) Anchored() bool { return o.Seeds != nil || o.Masks != nil }
+
+// checkAnchoring validates Seeds and Masks against the plan and store.
+func checkAnchoring(store *dal.Store, plan *oig.Plan, opts Options) error {
+	if !opts.Anchored() {
+		return nil
+	}
+	if plan.Restricted {
+		// A restriction can reject the one tuple of an orbit the seeds and
+		// masks would have accepted (anchored counting binds specific edges
+		// to specific positions), silently undercounting. The
+		// plan-compiling entry points drop restrictions for anchored runs;
+		// reject the combination for callers bringing their own plan.
+		return errors.New("engine: Seeds/Masks require a plan compiled without symmetry-breaking restrictions (oig.CompileOptions.NoRestrictions)")
+	}
+	if opts.Masks != nil && len(opts.Masks) != plan.Pattern.NumEdges() {
+		return fmt.Errorf("engine: %d edge masks for a %d-hyperedge pattern", len(opts.Masks), plan.Pattern.NumEdges())
+	}
+	n := uint32(store.Hypergraph().NumEdges())
+	for _, s := range opts.Seeds {
+		if s >= n {
+			return fmt.Errorf("engine: seed hyperedge %d out of range [0,%d)", s, n)
+		}
+	}
+	return nil
+}
+
+// EdgeMask is a bitset over hyperedge IDs, one bit per ID; IDs beyond its
+// length are absent.
+type EdgeMask []uint64
+
+// NewEdgeMask returns an empty mask sized for IDs [0, n).
+func NewEdgeMask(n int) EdgeMask { return make(EdgeMask, (n+63)/64) }
+
+// Has reports whether e is in the mask.
+func (m EdgeMask) Has(e uint32) bool {
+	w := int(e >> 6)
+	return w < len(m) && m[w]&(1<<(e&63)) != 0
+}
+
+// Set adds e, which must be within the mask's size.
+func (m EdgeMask) Set(e uint32) { m[e>>6] |= 1 << (e & 63) }
+
+// Clear removes e, which must be within the mask's size.
+func (m EdgeMask) Clear(e uint32) { m[e>>6] &^= 1 << (e & 63) }
 
 // Stats carries the instrumentation counters behind Fig. 3.
 type Stats struct {
@@ -309,18 +372,6 @@ func MineContext(ctx context.Context, store *dal.Store, p *pattern.Pattern, opts
 	return MineWithPlanContext(ctx, store, plan, opts)
 }
 
-// dataAwareOrder scores each pattern hyperedge by the number of data
-// hyperedges sharing its degree (the candidate pool of the first step) and
-// orders the most selective hyperedge first. The counts come straight from
-// the DAL's degree index — no hypergraph scan.
-func dataAwareOrder(store *dal.Store, p *pattern.Pattern) []int {
-	sel := make([]int, p.NumEdges())
-	for i := range sel {
-		sel[i] = store.NumEdgesWithDegree(p.Degree(i))
-	}
-	return p.MatchingOrderWithSelectivity(sel)
-}
-
 // MineWithPlan runs a precompiled plan. The plan's mode must match the
 // validation mode (merged for ValOverlap, simple for ValOverlapSimple;
 // ValProfiles accepts either).
@@ -334,6 +385,15 @@ func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error
 // mining hot path still pays exactly one atomic load per candidate
 // regardless of whether a deadline, a limit, or a context is in play. On
 // cancellation the partial Result is returned along with ctx.Err().
+//
+// The error says the context ended, not that the run was cut short:
+// Result.Truncated does. A cancellation can land after the workers have
+// drained every task; the run then returns ctx.Err() with complete counts,
+// Truncated=false, and — on a checkpointed run — no final snapshot, since
+// no frontier is left to save. Conversely a context that is already done
+// explores nothing: the run is Truncated, and a checkpointed one snapshots
+// its whole search space. Callers decide "partial or complete" (and
+// whether a snapshot is retained) by Truncated alone.
 func MineWithPlanContext(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Options) (Result, error) {
 	return mineResumable(ctx, store, plan, opts, nil)
 }
@@ -377,17 +437,8 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	if err := ctx.Err(); err != nil {
+	if err := checkAnchoring(store, plan, opts); err != nil {
 		return Result{}, err
-	}
-
-	if plan.Restricted && opts.PositionFilter != nil {
-		// A restriction can reject the one tuple of an orbit the filter
-		// would have accepted (anchored counting binds specific edges to
-		// specific positions), silently undercounting. The plan-compiling
-		// entry points disable restrictions when a filter is set; reject
-		// the combination here for callers bringing their own plan.
-		return Result{}, errors.New("engine: PositionFilter requires a plan compiled without symmetry-breaking restrictions (oig.CompileOptions.NoRestrictions)")
 	}
 
 	e := &shared{store: store, plan: plan, opts: opts, kernel: kernel}
@@ -482,6 +533,13 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	} else if len(tasks) == 0 {
 		// The snapshot captured a fully drained run: nothing left to mine.
 		return finalizeCounts(baseResult()), ctx.Err()
+	}
+	if ctx.Err() != nil {
+		// An already-dead context explores nothing: with the stop flag set
+		// up front every worker stops at its first candidate, so the run
+		// reports itself truncated, and a checkpointed run hands its sink
+		// the whole remaining search space instead of no snapshot at all.
+		e.stopped.Store(true)
 	}
 
 	var found atomic.Uint64
@@ -701,29 +759,40 @@ func (e *shared) recoverWorker() {
 
 // firstCandidates enumerates candidates of the first pattern hyperedge:
 // every data hyperedge with matching degree (and label histogram for
-// labeled patterns).
+// labeled patterns) — or, on a seeded run, every seed passing the same
+// checks and the first position's mask.
 func (e *shared) firstCandidates() []uint32 {
 	h := e.store.Hypergraph()
 	st := &e.plan.Steps[0]
-	cands := e.store.EdgesWithDegree(st.Degree)
-	if !e.plan.Labeled && st.EdgeLabel < 0 && e.opts.PositionFilter == nil {
-		return cands
+	cands := e.opts.Seeds
+	if cands == nil {
+		cands = e.store.EdgesWithDegree(st.Degree)
+		if !e.plan.Labeled && st.EdgeLabel < 0 && e.opts.Masks == nil {
+			return cands
+		}
+	}
+	var mask EdgeMask
+	if e.opts.Masks != nil {
+		mask = e.opts.Masks[0]
 	}
 	var scratch []int
 	if e.plan.Labeled {
 		scratch = make([]int, h.NumLabels())
 	}
 	// Filter into a fresh slice: cands may be the DAL's shared degree-index
-	// storage, which in-place filtering would corrupt for concurrent runs.
+	// storage or the caller's seeds, which in-place filtering would corrupt.
 	out := make([]uint32, 0, len(cands))
 	for _, c := range cands {
+		if e.opts.Seeds != nil && h.Degree(c) != st.Degree {
+			continue
+		}
 		if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {
 			continue
 		}
 		if e.plan.Labeled && !labelsMatch(h, c, st.EdgeLabels, scratch) {
 			continue
 		}
-		if f := e.opts.PositionFilter; f != nil && !f(0, c) {
+		if mask != nil && !mask.Has(c) {
 			continue
 		}
 		out = append(out, c)

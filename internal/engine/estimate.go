@@ -48,6 +48,9 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	if err != nil {
 		return Estimate{}, err
 	}
+	if err := checkAnchoring(store, plan, opts); err != nil {
+		return Estimate{}, err
+	}
 	start := time.Now()
 
 	// Limits would interact with the scaling; estimation always mines the

@@ -26,17 +26,41 @@ import (
 // run's — a lease or snapshot produced against this plan validates against
 // an independently compiled one on any node holding the same store.
 func CompilePlan(store *dal.Store, p *pattern.Pattern, opts Options) (*oig.Plan, error) {
-	mode := oig.ModeMerged
-	if opts.Val == ValOverlapSimple {
-		mode = oig.ModeSimple
-	}
 	co := oig.CompileOptions{
-		// Anchored counting (PositionFilter) must see every ordered tuple:
-		// a restriction can kill the one orbit member the filter accepts.
-		NoRestrictions: opts.NoSymmetryBreak || opts.PositionFilter != nil,
+		// Anchored counting (Seeds/Masks) must see every ordered tuple: a
+		// restriction can kill the one orbit member the masks admit.
+		NoRestrictions: opts.NoSymmetryBreak || opts.Anchored(),
 	}
 	if opts.DataAwareOrder {
 		co.Order = dataAwareOrder(store, p)
+	}
+	return compilePlan(store, p, opts, co)
+}
+
+// CompileAnchored compiles the unrestricted plan whose matching order
+// starts at pattern hyperedge anchor — the plan an anchored run seeds with
+// the data hyperedges that anchor may bind. The remaining positions follow
+// the data-aware greedy order (most connected to the prefix, then fewest
+// degree-matching data hyperedges). Like CompilePlan it applies the
+// container hints and re-verifies the plan.
+func CompileAnchored(store *dal.Store, p *pattern.Pattern, anchor int, opts Options) (*oig.Plan, error) {
+	if anchor < 0 || anchor >= p.NumEdges() {
+		return nil, fmt.Errorf("engine: anchor %d out of range [0,%d)", anchor, p.NumEdges())
+	}
+	sel := selectivity(store, p)
+	sel[anchor] = -1
+	return compilePlan(store, p, opts, oig.CompileOptions{
+		Order:          p.MatchingOrderWithSelectivity(sel),
+		NoRestrictions: true,
+	})
+}
+
+// compilePlan is the shared compile path: the plan mode follows opts.Val,
+// then the container-hint pass runs and the result is re-verified.
+func compilePlan(store *dal.Store, p *pattern.Pattern, opts Options, co oig.CompileOptions) (*oig.Plan, error) {
+	mode := oig.ModeMerged
+	if opts.Val == ValOverlapSimple {
+		mode = oig.ModeSimple
 	}
 	plan, err := oig.CompileWith(p, mode, co)
 	if err != nil {
@@ -51,6 +75,24 @@ func CompilePlan(store *dal.Store, p *pattern.Pattern, opts Options) (*oig.Plan,
 		return nil, fmt.Errorf("engine: container-hint pass produced an invalid plan: %w", err)
 	}
 	return plan, nil
+}
+
+// dataAwareOrder orders the most selective pattern hyperedge first (see
+// selectivity), the ordering strategy the paper adopts from HGMatch
+// (Sec. 4.3.2).
+func dataAwareOrder(store *dal.Store, p *pattern.Pattern) []int {
+	return p.MatchingOrderWithSelectivity(selectivity(store, p))
+}
+
+// selectivity scores each pattern hyperedge by the number of data
+// hyperedges sharing its degree (the candidate pool of a first step),
+// straight from the DAL's degree index — no hypergraph scan.
+func selectivity(store *dal.Store, p *pattern.Pattern) []int {
+	sel := make([]int, p.NumEdges())
+	for i := range sel {
+		sel[i] = store.NumEdgesWithDegree(p.Degree(i))
+	}
+	return sel
 }
 
 // applyContainerHints refines every op's container hint from the DAL's
@@ -110,8 +152,8 @@ func applyContainerHints(store *dal.Store, plan *oig.Plan) {
 }
 
 // FirstCandidates enumerates the candidate pool of the first pattern
-// hyperedge — every data hyperedge passing the degree, label, and
-// PositionFilter constraints — exactly as the mining driver seeds it. The
+// hyperedge — every data hyperedge (or seed) passing the degree, label, and
+// first-position mask constraints — exactly as the mining driver seeds it. The
 // returned slice is freshly allocated and safe to retain or repartition.
 func FirstCandidates(store *dal.Store, plan *oig.Plan, opts Options) []uint32 {
 	e := &shared{store: store, plan: plan, opts: opts}

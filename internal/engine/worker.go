@@ -218,9 +218,10 @@ func (w *worker) emit() {
 }
 
 // accept applies the cheap per-candidate constraints: distinctness,
-// symmetry-breaking restrictions, generation-time disconnection (skipped
-// for profile validation, which catches spurious connections itself, as
-// HGMatch does), and the label histogram for labeled patterns.
+// symmetry-breaking restrictions, the position's edge mask (anchored runs),
+// generation-time disconnection (skipped for profile validation, which
+// catches spurious connections itself, as HGMatch does), and the label
+// histogram for labeled patterns.
 func (w *worker) accept(t int, c uint32) bool {
 	for j := 0; j < t; j++ {
 		if w.c[j] == c {
@@ -236,7 +237,7 @@ func (w *worker) accept(t int, c uint32) bool {
 			return false
 		}
 	}
-	if f := w.e.opts.PositionFilter; f != nil && !f(t, c) {
+	if ms := w.e.opts.Masks; ms != nil && ms[t] != nil && !ms[t].Has(c) {
 		return false
 	}
 	h := w.e.store.Hypergraph()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"ohminer/internal/engine"
@@ -19,6 +21,13 @@ import (
 // deltas and cumulative totals must agree batch-for-batch — the measured
 // quantity is apply latency, where incremental maintenance should win by
 // roughly the graph-size/batch-size ratio.
+//
+// A second table sweeps the seed graph size: the same batch shape (adds +
+// retires) applied to an incremental miner seeded with e0 and with 4·e0
+// edges, vertex universe scaled alike so local density is unchanged. Delta
+// evaluation seeds anchor-first plans with the batch's changed edges, so
+// the per-batch apply time should stay near flat as |E| grows; each size's
+// final totals are checked against a from-scratch TotalCount.
 
 func init() {
 	register(Experiment{
@@ -40,54 +49,15 @@ func runStream(c *Context, opts RunOpts) ([]*Table, error) {
 	}
 
 	// The feed is scripted up front so both variants consume identical
-	// batches: a seeding batch, then `batches` batches of random pair/triple
-	// adds and retires drawn from the edges known live at that point.
+	// batches.
 	rng := rand.New(rand.NewSource(opts.Seed + 41))
-	randEdge := func() []uint32 {
+	feed := scriptStreamFeed(rng, func() []uint32 {
 		v := uint32(rng.Intn(nv - 2))
 		if rng.Intn(2) == 0 {
 			return []uint32{v, v + 1 + uint32(rng.Intn(2))}
 		}
 		return []uint32{v, v + 1, v + 2}
-	}
-	// live tracks the distinct edges known live so retires always name a
-	// currently-live edge exactly once; duplicate random adds are dropped
-	// (the miner would treat them as refreshes, desynchronizing this
-	// bookkeeping from its live set).
-	live := map[string][]uint32{}
-	liveKeys := []string{}
-	addFresh := func(batch *stream.Batch, n int) {
-		for i := 0; i < n; i++ {
-			e := randEdge()
-			k := fmt.Sprint(e)
-			if _, ok := live[k]; ok {
-				continue
-			}
-			batch.Add = append(batch.Add, e)
-			live[k] = e
-			liveKeys = append(liveKeys, k)
-		}
-	}
-	feed := make([]stream.Batch, 0, batches+1)
-	seed := stream.Batch{Seq: 1}
-	addFresh(&seed, initial)
-	feed = append(feed, seed)
-	for b := 0; b < batches; b++ {
-		batch := stream.Batch{Seq: uint64(b + 2)}
-		// Retires are drawn from edges live before this batch, so they are
-		// valid regardless of apply-order semantics; adds then never
-		// collide with a live or just-retired key.
-		for i := 0; i < retires && len(liveKeys) > 0; i++ {
-			j := rng.Intn(len(liveKeys))
-			k := liveKeys[j]
-			batch.Retire = append(batch.Retire, live[k])
-			delete(live, k)
-			liveKeys[j] = liveKeys[len(liveKeys)-1]
-			liveKeys = liveKeys[:len(liveKeys)-1]
-		}
-		addFresh(&batch, adds)
-		feed = append(feed, batch)
-	}
+	}, initial, batches, adds, retires)
 
 	type variant struct {
 		name    string
@@ -183,5 +153,147 @@ func runStream(c *Context, opts RunOpts) ([]*Table, error) {
 			})
 		}
 	}
-	return []*Table{t}, nil
+	sweep, err := streamSweep(opts, workers, patterns)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{t, sweep}, nil
+}
+
+// scriptStreamFeed scripts a seeding batch of `initial` draws, then
+// `batches` batches of `retires` retirements and `adds` add draws. Retires
+// are drawn from the edges live before the batch, so they are valid
+// regardless of apply-order semantics, and always name a currently-live
+// edge exactly once; duplicate draws of a live edge are dropped (the miner
+// would treat them as refreshes, desynchronizing this bookkeeping from its
+// live set).
+func scriptStreamFeed(rng *rand.Rand, edge func() []uint32, initial, batches, adds, retires int) []stream.Batch {
+	live := map[string][]uint32{}
+	liveKeys := []string{}
+	addFresh := func(batch *stream.Batch, n int) {
+		for i := 0; i < n; i++ {
+			e := edge()
+			k := fmt.Sprint(e)
+			if _, ok := live[k]; ok {
+				continue
+			}
+			batch.Add = append(batch.Add, e)
+			live[k] = e
+			liveKeys = append(liveKeys, k)
+		}
+	}
+	feed := make([]stream.Batch, 0, batches+1)
+	seed := stream.Batch{Seq: 1}
+	addFresh(&seed, initial)
+	feed = append(feed, seed)
+	for b := 0; b < batches; b++ {
+		batch := stream.Batch{Seq: uint64(b + 2)}
+		for i := 0; i < retires && len(liveKeys) > 0; i++ {
+			j := rng.Intn(len(liveKeys))
+			k := liveKeys[j]
+			batch.Retire = append(batch.Retire, live[k])
+			delete(live, k)
+			liveKeys[j] = liveKeys[len(liveKeys)-1]
+			liveKeys = liveKeys[:len(liveKeys)-1]
+		}
+		addFresh(&batch, adds)
+		feed = append(feed, batch)
+	}
+	return feed
+}
+
+// streamSweep applies one batch shape to incremental miners seeded at e0
+// and 4·e0 edges and reports the median per-batch apply time of each.
+func streamSweep(opts RunOpts, workers int, patterns []string) (*Table, error) {
+	e0, batches, adds, retires := 20000, 10, 200, 120
+	if opts.Quick {
+		e0, batches = 4000, 6
+	}
+	t := &Table{
+		Title:  "Streaming |E| sweep: per-batch apply time at a fixed batch size",
+		Header: []string{"seed edges", "vertices", "live edges", "apply/batch p50", "vs e0", "eval/batch p50", "vs e0"},
+		Notes: []string{
+			fmt.Sprintf("each size: %d batches of %d adds + %d retires, incremental maintenance, queries %s", batches, adds, retires, strings.Join(patterns, " | ")),
+			"vertices scale with the seed size, so a changed edge's neighbourhood is the same at both sizes",
+			"apply is one ApplyBatch: derived-state maintenance + every standing query's anchored delta; eval is the delta part alone",
+			"final totals are verified against a from-scratch TotalCount before timing is reported",
+		},
+	}
+	var base, baseEval time.Duration
+	for _, scale := range []int{1, 4} {
+		initial, nv := scale*e0, scale*e0/2
+		// Same seed at both sizes: the feeds differ only in scale.
+		rng := rand.New(rand.NewSource(opts.Seed + 43))
+		feed := scriptStreamFeed(rng, func() []uint32 {
+			v := uint32(rng.Intn(nv - 3))
+			if rng.Intn(2) == 0 {
+				return []uint32{v, v + 1 + uint32(rng.Intn(3))}
+			}
+			return []uint32{v, v + 1, v + 2 + uint32(rng.Intn(2))}
+		}, initial, batches, adds, retires)
+		m, err := stream.NewMiner(stream.Config{NumVertices: nv, Engine: engine.Options{Workers: workers}})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := m.ApplyBatch(feed[0]); err != nil {
+			return nil, fmt.Errorf("stream sweep: seed: %w", err)
+		}
+		pats := make([]*pattern.Pattern, len(patterns))
+		for i, lit := range patterns {
+			if pats[i], err = pattern.Parse(lit); err != nil {
+				return nil, err
+			}
+			if _, err := m.RegisterQuery(pats[i]); err != nil {
+				return nil, fmt.Errorf("stream sweep: register %q: %w", lit, err)
+			}
+		}
+		per := make([]time.Duration, 0, batches)
+		evals := make([]time.Duration, 0, batches)
+		for _, b := range feed[1:] {
+			start := time.Now()
+			res, err := m.ApplyBatch(b)
+			if err != nil {
+				return nil, fmt.Errorf("stream sweep: batch %d: %w", b.Seq, err)
+			}
+			per = append(per, time.Since(start))
+			var eval float64
+			for _, d := range res.Deltas {
+				eval += d.ElapsedMS
+			}
+			evals = append(evals, time.Duration(eval*float64(time.Millisecond)))
+		}
+		slices.Sort(per)
+		slices.Sort(evals)
+		apply, eval := per[len(per)/2], evals[len(evals)/2]
+		if scale == 1 {
+			base, baseEval = apply, eval
+		}
+		variant := fmt.Sprintf("sweep-%de0", scale)
+		progressf("    stream/%-11s %d edges: %v per batch\n", variant, initial, apply.Round(time.Microsecond))
+		for i, q := range m.Queries() {
+			full, err := m.TotalCount(pats[i])
+			if err != nil {
+				return nil, err
+			}
+			if full.Ordered != q.Total {
+				return nil, fmt.Errorf("stream sweep: %s query %q: streamed total %d, from scratch %d",
+					variant, q.Pattern, q.Total, full.Ordered)
+			}
+			opts.Recorder.Record(CellRecord{
+				Exp:       "stream",
+				Variant:   variant,
+				Dataset:   fmt.Sprintf("synthetic-stream nv=%d e0=%d", nv, initial),
+				Pattern:   q.Pattern,
+				Workers:   workers,
+				MaxProcs:  runtime.GOMAXPROCS(0),
+				ElapsedMs: float64(apply) / float64(time.Millisecond),
+				Ordered:   q.Total,
+				Unique:    q.Unique,
+			})
+		}
+		t.AddRow(fmt.Sprintf("%d", initial), fmt.Sprintf("%d", nv), fmt.Sprintf("%d", m.LiveEdges()),
+			ms(apply), fmt.Sprintf("%.2fx", float64(apply)/float64(base)),
+			ms(eval), fmt.Sprintf("%.2fx", float64(eval)/float64(baseEval)))
+	}
+	return t, nil
 }

@@ -451,6 +451,7 @@ func Load(s *Snapshot, cfg Config) (*Miner, error) {
 			m.addEpoch[i] = e.AddEpoch
 			m.index[edgeKey(e.Verts)] = uint32(i)
 		}
+		m.liveMask = allLive(len(edges))
 		m.live = len(edges)
 	}
 	for _, sq := range s.Queries {

@@ -10,7 +10,8 @@
 // by their normalized vertex set; a physical edge ID is assigned the first
 // time a set appears and is reused on resurrection, so the underlying
 // hypergraph and DAL grow append-only between compactions, and retirement
-// is a mask (PositionFilter) rather than a data-structure mutation.
+// is an edge mask (engine.Options.Masks) rather than a data-structure
+// mutation.
 //
 // Delta semantics (Tesseract/PSMiner-style anchored enumeration). After
 // batch t, for each standing query the miner counts
@@ -18,15 +19,19 @@
 //	added(t)   = embeddings of graph(t) using ≥1 edge added at t
 //	retired(t) = embeddings of graph(t−1) using ≥1 edge retired at t
 //
-// each by anchoring on the first matching-order position that binds a
+// each by anchoring on the lowest-indexed pattern hyperedge that binds a
 // changed edge, so every embedding is counted exactly once and
 //
 //	total(t) = total(t−1) + added(t) − retired(t)
 //
 // holds exactly (differential-tested against a from-scratch TotalCount in
-// stream_test.go). Both classes need every ordered tuple visible, so query
-// plans are compiled without symmetry-breaking restrictions; unique counts
-// divide by the automorphism count, exact because the runs are complete.
+// stream_test.go). Each query keeps one anchor-first plan per pattern
+// hyperedge; the run for anchor i is seeded with the batch's changed edge
+// IDs at position 0 and masks the other positions by pattern-edge index, so
+// its cost follows the batch, not the graph. Both classes need every
+// ordered tuple visible, so the plans carry no symmetry-breaking
+// restrictions; unique counts divide by the automorphism count, exact
+// because the runs are complete.
 //
 // Batches are fully validated before any state is touched: a rejected
 // batch leaves the miner exactly as it was (the internal/dynamic
@@ -79,8 +84,9 @@ type Config struct {
 
 	// Engine templates the options for all query evaluation (Workers,
 	// Kernel, Gen/Val, Instrument). Run-shaping fields — Limit, Deadline,
-	// OnEmbedding, PositionFilter, Checkpoint — are ignored: delta counting
-	// needs complete runs, and the miner owns the position filters.
+	// OnEmbedding, Seeds, Masks, Checkpoint, DataAwareOrder — are ignored:
+	// delta counting needs complete runs, and the miner owns the seeds,
+	// masks and matching orders.
 	Engine engine.Options
 
 	// Snapshot, when set, receives a stream snapshot every SnapshotEvery
@@ -186,7 +192,8 @@ type query struct {
 	lit       string
 	canon     string
 	aut       uint64
-	plan      *oig.Plan // unrestricted; compiled lazily (needs a store)
+	plan      *oig.Plan   // unrestricted, for baselines; compiled lazily (needs a store)
+	anchors   []*oig.Plan // anchors[i] starts at pattern hyperedge i; compiled at the first delta
 	baseEpoch uint64
 	base      uint64 // ordered count at registration
 	cumAdd    uint64
@@ -221,19 +228,19 @@ type Miner struct {
 	// Physical state. h/store are nil until the first edge exists; both are
 	// replaced wholesale on growth (old values stay valid for concurrent
 	// readers). addEpoch/retireEpoch are indexed by physical edge ID;
-	// retireEpoch 0 means live.
+	// retireEpoch 0 means live. liveMask has a bit set per live physical
+	// edge, maintained in place alongside retireEpoch.
 	h           *hypergraph.Hypergraph
 	store       *dal.Store
 	addEpoch    []uint64
 	retireEpoch []uint64
+	liveMask    engine.EdgeMask
 	live        int
 	index       map[string]uint32 // normalized vertex set → physical ID
 
-	// Latest-batch change marks, valid between applies; drive the anchored
-	// delta filters.
-	lastAdded   []bool
-	lastRetired []bool
-	haveLast    bool
+	// last holds the latest batch's changes, valid between applies; nil
+	// before the first apply since open or compaction.
+	last *change
 
 	queries   map[uint64]*query
 	byCanon   map[string]uint64
@@ -300,7 +307,7 @@ func normalize(raw []uint32, nv int) ([]uint32, error) {
 
 // mineOpts derives engine options from the config template, clearing the
 // run-shaping fields the miner must own.
-func (m *Miner) mineOpts(filter func(int, uint32) bool) engine.Options {
+func (m *Miner) mineOpts() engine.Options {
 	o := m.cfg.Engine
 	o.Limit = 0
 	o.Deadline = 0
@@ -308,27 +315,43 @@ func (m *Miner) mineOpts(filter func(int, uint32) bool) engine.Options {
 	o.Checkpoint = nil
 	o.CheckpointEvery = 0
 	o.DataAwareOrder = false
-	o.PositionFilter = filter
-	if filter != nil {
-		o.NoSymmetryBreak = true
-	}
+	o.Seeds = nil
+	o.Masks = nil
 	return o
 }
 
-// ensurePlan lazily compiles q's unrestricted plan against the current
-// store (plans carry only pattern semantics plus advisory container hints,
-// so a plan compiled once stays correct as the store evolves).
+// ensurePlan lazily compiles q's unrestricted baseline plan against the
+// current store (plans carry only pattern semantics plus advisory container
+// hints, so a plan compiled once stays correct as the store evolves).
 func (m *Miner) ensurePlan(q *query) error {
 	if q.plan != nil {
 		return nil
 	}
-	o := m.mineOpts(nil)
+	o := m.mineOpts()
 	o.NoSymmetryBreak = true
 	plan, err := engine.CompilePlan(m.store, q.p, o)
 	if err != nil {
 		return err
 	}
 	q.plan = plan
+	return nil
+}
+
+// ensureAnchors lazily compiles q's anchor-first plans, one per pattern
+// hyperedge.
+func (m *Miner) ensureAnchors(q *query) error {
+	if q.anchors != nil {
+		return nil
+	}
+	anchors := make([]*oig.Plan, q.p.NumEdges())
+	for i := range anchors {
+		plan, err := engine.CompileAnchored(m.store, q.p, i, m.mineOpts())
+		if err != nil {
+			return err
+		}
+		anchors[i] = plan
+	}
+	q.anchors = anchors
 	return nil
 }
 
@@ -434,7 +457,7 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	}
 
 	// Compact retired garbage before this batch when it crossed the
-	// threshold; done up front so the previous batch's change marks (still
+	// threshold; done up front so the previous batch's changes (still
 	// serving LatestDelta) were valid until now.
 	compacted := false
 	if m.shouldCompact() {
@@ -475,36 +498,33 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 			return nil, m.err
 		}
 	}
-	m.lastAdded = make([]bool, len(m.addEpoch))
-	m.lastRetired = make([]bool, len(m.addEpoch))
-	m.haveLast = true
+	// The change lists name each changed edge by ID. "Added at t" cannot
+	// be read off addEpoch: a refresh also stamps addEpoch = t without
+	// being an add.
+	added := make([]uint32, 0, res.Added)
 	for i := len(m.addEpoch) - len(ap.newEdges); i < len(m.addEpoch); i++ {
-		m.lastAdded[i] = true
+		added = append(added, uint32(i))
 	}
-	for _, id := range ap.retire {
-		m.retireEpoch[id] = t
-		m.lastRetired[id] = true
-		m.live--
+	retired := make([]uint32, 0, res.Retired+res.Expired)
+	for _, ids := range [][]uint32{ap.retire, ap.expire} {
+		for _, id := range ids {
+			m.retireEpoch[id] = t
+			m.liveMask.Clear(id)
+			m.live--
+			retired = append(retired, id)
+		}
 	}
-	for _, id := range ap.expire {
-		m.retireEpoch[id] = t
-		m.lastRetired[id] = true
-		m.live--
-	}
-	for _, id := range ap.resurrect {
-		m.retireEpoch[id] = 0
-		m.addEpoch[id] = t
-		m.lastAdded[id] = true
-		m.live++
-	}
-	for _, id := range ap.readd {
-		// Retired (already marked by the retire loop — readd IDs are a
-		// subset of ap.retire) and re-added in one batch: counted on both
-		// sides of the delta.
-		m.retireEpoch[id] = 0
-		m.addEpoch[id] = t
-		m.lastAdded[id] = true
-		m.live++
+	// A readd edge was retired by the loop above (readd IDs are a subset of
+	// ap.retire) and comes back live here: counted on both sides of the
+	// delta.
+	for _, ids := range [][]uint32{ap.resurrect, ap.readd} {
+		for _, id := range ids {
+			m.retireEpoch[id] = 0
+			m.addEpoch[id] = t
+			m.liveMask.Set(id)
+			m.live++
+			added = append(added, id)
+		}
 	}
 	for _, id := range ap.refresh {
 		// Re-adding a live edge resets its window clock only — no delta.
@@ -512,8 +532,9 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	}
 	m.epoch = t
 	m.dirty = true
+	m.last = m.newChange(added, retired)
 
-	// Evaluate standing queries against the fresh marks.
+	// Evaluate standing queries against the fresh change.
 	res.Deltas, err = m.evaluate()
 	if err != nil {
 		m.err = fmt.Errorf("stream: query evaluation failed mid-apply, miner poisoned (restart from snapshot): %w", err)
@@ -583,8 +604,12 @@ func (m *Miner) grow(newEdges [][]uint32, newKeys []string, t uint64) error {
 	}
 	m.addEpoch = append(m.addEpoch, make([]uint64, len(newEdges))...)
 	m.retireEpoch = append(m.retireEpoch, make([]uint64, len(newEdges))...)
+	if words := (len(m.addEpoch) + 63) / 64; words > len(m.liveMask) {
+		m.liveMask = append(m.liveMask, make(engine.EdgeMask, words-len(m.liveMask))...)
+	}
 	for i := range newEdges {
 		m.addEpoch[int(base)+i] = t
+		m.liveMask.Set(base + uint32(i))
 	}
 	m.live += len(newEdges)
 	return nil
@@ -602,30 +627,13 @@ func (m *Miner) evaluate() ([]Delta, error) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	anyAdd, anyRet := false, false
-	for i := range m.lastAdded {
-		anyAdd = anyAdd || m.lastAdded[i]
-		anyRet = anyRet || m.lastRetired[i]
-	}
-
 	deltas := make([]Delta, 0, len(ids))
 	for _, id := range ids {
 		q := m.queries[id]
 		qstart := time.Now()
-		var added, retired uint64
-		if anyAdd {
-			n, err := m.anchored(q, m.addFilter)
-			if err != nil {
-				return nil, err
-			}
-			added = n
-		}
-		if anyRet {
-			n, err := m.anchored(q, m.retireFilter)
-			if err != nil {
-				return nil, err
-			}
-			retired = n
+		added, retired, err := m.delta(q)
+		if err != nil {
+			return nil, err
 		}
 		q.cumAdd += added
 		q.cumRet += retired
@@ -646,52 +654,87 @@ func (m *Miner) evaluate() ([]Delta, error) {
 	return deltas, nil
 }
 
-// addFilter is the anchored filter family for added(t): positions before
-// the anchor bind unchanged live edges, the anchor binds an edge added this
-// batch, later positions bind any live edge.
-func (m *Miner) addFilter(anchor int) func(int, uint32) bool {
-	live, added := m.retireEpoch, m.lastAdded
-	return func(pos int, e uint32) bool {
-		switch {
-		case pos < anchor:
-			return live[e] == 0 && !added[e]
-		case pos == anchor:
-			return added[e]
-		default:
-			return live[e] == 0
-		}
-	}
+// change is one applied batch's edge changes: the IDs it added and retired
+// (a retire+re-add edge is in both) and the masks the anchored runs share
+// across queries and anchors.
+type change struct {
+	added, retired []uint32
+	// old is graph(t−1)'s survivors: live at t and not added at t.
+	old engine.EdgeMask
+	// live is graph(t); nil when every physical edge is live.
+	live engine.EdgeMask
+	// oldOrRetired is graph(t−1): the survivors plus the edges retired at t.
+	oldOrRetired engine.EdgeMask
 }
 
-// retireFilter is the anchored filter family for retired(t): it enumerates
-// embeddings of graph(t−1) — survivors plus this batch's retirees — whose
-// anchor position binds an edge retired this batch.
-func (m *Miner) retireFilter(anchor int) func(int, uint32) bool {
-	live, added, retired := m.retireEpoch, m.lastAdded, m.lastRetired
-	return func(pos int, e uint32) bool {
-		survivor := live[e] == 0 && !added[e]
-		switch {
-		case pos < anchor:
-			return survivor
-		case pos == anchor:
-			return retired[e]
-		default:
-			return survivor || retired[e]
-		}
+// newChange builds the batch's masks from the live mask, which already
+// reflects the batch: one copy per mask plus one bit per changed edge.
+func (m *Miner) newChange(added, retired []uint32) *change {
+	c := &change{added: added, retired: retired}
+	c.old = append(engine.EdgeMask(nil), m.liveMask...)
+	for _, id := range added {
+		c.old.Clear(id)
 	}
+	c.oldOrRetired = append(engine.EdgeMask(nil), c.old...)
+	for _, id := range retired {
+		c.oldOrRetired.Set(id)
+	}
+	if m.live != len(m.retireEpoch) {
+		c.live = m.liveMask
+	}
+	return c
 }
 
-// anchored sums a complete anchored enumeration over all anchor positions.
-func (m *Miner) anchored(q *query, family func(int) func(int, uint32) bool) (uint64, error) {
-	if m.store == nil {
+// family is one side of a batch's delta: the changed edges an anchor binds,
+// and the masks for pattern hyperedges indexed below and above the anchor.
+type family struct {
+	seeds         []uint32
+	before, after engine.EdgeMask
+}
+
+// addFamily counts added(t) over graph(t): pattern hyperedges before the
+// anchor bind survivors, those after it any live edge.
+func (c *change) addFamily() family { return family{c.added, c.old, c.live} }
+
+// retireFamily counts retired(t) over graph(t−1): pattern hyperedges
+// before the anchor bind survivors, those after it a survivor or an edge
+// retired at t.
+func (c *change) retireFamily() family { return family{c.retired, c.old, c.oldOrRetired} }
+
+// delta counts the latest batch's added and retired embeddings of q.
+func (m *Miner) delta(q *query) (added, retired uint64, err error) {
+	if added, err = m.anchored(q, m.last.addFamily()); err != nil {
+		return 0, 0, err
+	}
+	retired, err = m.anchored(q, m.last.retireFamily())
+	return added, retired, err
+}
+
+// anchored sums the family's complete anchored runs over every anchor. The
+// run for anchor i seeds position 0 of q.anchors[i] with the changed edges
+// and masks each later position by the index of the pattern hyperedge it
+// binds — not by its position, which differs per anchor plan — so an
+// embedding is counted only at its lowest-indexed changed hyperedge.
+func (m *Miner) anchored(q *query, f family) (uint64, error) {
+	if m.store == nil || len(f.seeds) == 0 {
 		return 0, nil
 	}
-	if err := m.ensurePlan(q); err != nil {
+	if err := m.ensureAnchors(q); err != nil {
 		return 0, err
 	}
+	o := m.mineOpts()
+	o.Seeds = f.seeds
 	var sum uint64
-	for a := 0; a < q.p.NumEdges(); a++ {
-		res, err := engine.MineWithPlan(m.store, q.plan, m.mineOpts(family(a)))
+	for i, plan := range q.anchors {
+		o.Masks = make([]engine.EdgeMask, len(plan.Order))
+		for pos := 1; pos < len(plan.Order); pos++ {
+			if plan.Order[pos] < i {
+				o.Masks[pos] = f.before
+			} else {
+				o.Masks[pos] = f.after
+			}
+		}
+		res, err := engine.MineWithPlan(m.store, plan, o)
 		if err != nil {
 			return 0, err
 		}
@@ -700,13 +743,17 @@ func (m *Miner) anchored(q *query, family func(int) func(int, uint32) bool) (uin
 	return sum, nil
 }
 
-// liveFilter masks retired physical edges out of a full mine.
-func (m *Miner) liveFilter() func(int, uint32) bool {
+// liveMasks masks retired physical edges out of a full mine: every position
+// gets mask, or the run is unmasked when no garbage is present.
+func (m *Miner) liveMasks(n int, mask engine.EdgeMask) []engine.EdgeMask {
 	if m.live == len(m.retireEpoch) {
-		return nil // no garbage: unmasked mining is exact
+		return nil
 	}
-	live := m.retireEpoch
-	return func(_ int, e uint32) bool { return live[e] == 0 }
+	ms := make([]engine.EdgeMask, n)
+	for i := range ms {
+		ms[i] = mask
+	}
+	return ms
 }
 
 // RegisterQuery registers a standing pattern query. Isomorphic patterns
@@ -755,7 +802,9 @@ func (m *Miner) registerLocked(p *pattern.Pattern, persist bool) (QueryInfo, err
 		if err := m.ensurePlan(q); err != nil {
 			return QueryInfo{}, err
 		}
-		res, err := engine.MineWithPlan(m.store, q.plan, m.mineOpts(m.liveFilter()))
+		o := m.mineOpts()
+		o.Masks = m.liveMasks(p.NumEdges(), m.liveMask)
+		res, err := engine.MineWithPlan(m.store, q.plan, o)
 		if err != nil {
 			return QueryInfo{}, err
 		}
@@ -799,8 +848,9 @@ func (m *Miner) Query(id uint64) (QueryInfo, bool) {
 // TotalCount mines the current live graph from scratch for p — the oracle
 // the per-query cumulative totals are differential-tested against. When no
 // retired garbage is present this is a plain (symmetry-broken) mine;
-// otherwise retired edges are masked with an unrestricted plan. The mine
-// runs outside the miner's lock against an immutable store snapshot.
+// otherwise retired edges are masked, as for registration baselines, with
+// an unrestricted plan. The mine runs outside the miner's lock against an
+// immutable store snapshot and a copy of the live mask.
 func (m *Miner) TotalCount(p *pattern.Pattern) (engine.Result, error) {
 	m.mu.Lock()
 	if m.err != nil {
@@ -808,12 +858,8 @@ func (m *Miner) TotalCount(p *pattern.Pattern) (engine.Result, error) {
 		return engine.Result{}, m.err
 	}
 	store := m.store
-	var filter func(int, uint32) bool
-	if store != nil && m.live != len(m.retireEpoch) {
-		live := append([]uint64(nil), m.retireEpoch...)
-		filter = func(_ int, e uint32) bool { return live[e] == 0 }
-	}
-	opts := m.mineOpts(filter)
+	opts := m.mineOpts()
+	opts.Masks = m.liveMasks(p.NumEdges(), append(engine.EdgeMask(nil), m.liveMask...))
 	m.mu.Unlock()
 
 	if store == nil {
@@ -831,16 +877,12 @@ func (m *Miner) LatestDelta(p *pattern.Pattern) (Delta, error) {
 	if m.err != nil {
 		return Delta{}, m.err
 	}
-	if !m.haveLast {
+	if m.last == nil {
 		return Delta{}, errors.New("stream: no batch applied since open")
 	}
 	q := &query{p: p, aut: uint64(p.Automorphisms())}
 	start := time.Now()
-	added, err := m.anchored(q, m.addFilter)
-	if err != nil {
-		return Delta{}, err
-	}
-	retired, err := m.anchored(q, m.retireFilter)
+	added, retired, err := m.delta(q)
 	if err != nil {
 		return Delta{}, err
 	}
@@ -865,8 +907,8 @@ func (m *Miner) shouldCompact() bool {
 }
 
 // compact rebuilds the physical hypergraph from live edges only, remapping
-// physical IDs (relative order preserved) and invalidating latest-batch
-// marks.
+// physical IDs (relative order preserved) and invalidating the latest
+// batch's changes.
 func (m *Miner) compact() error {
 	liveEdges := make([][]uint32, 0, m.live)
 	addE := make([]uint64, 0, m.live)
@@ -882,6 +924,7 @@ func (m *Miner) compact() error {
 		m.store = nil
 		m.addEpoch = nil
 		m.retireEpoch = nil
+		m.liveMask = nil
 	} else {
 		h, err := hypergraph.Build(m.cfg.NumVertices, liveEdges, nil)
 		if err != nil {
@@ -894,16 +937,24 @@ func (m *Miner) compact() error {
 		m.store = dal.Build(h)
 		m.addEpoch = addE
 		m.retireEpoch = make([]uint64, len(liveEdges))
+		m.liveMask = allLive(len(liveEdges))
 		for id, e := range liveEdges {
 			m.index[edgeKey(e)] = uint32(id)
 		}
 	}
 	m.live = len(liveEdges)
-	m.haveLast = false
-	m.lastAdded = nil
-	m.lastRetired = nil
+	m.last = nil
 	// Cached query plans stay valid (IDs are runtime state, not plan state).
 	return nil
+}
+
+// allLive returns a live mask with IDs [0, n) set.
+func allLive(n int) engine.EdgeMask {
+	mask := engine.NewEdgeMask(n)
+	for id := 0; id < n; id++ {
+		mask.Set(uint32(id))
+	}
+	return mask
 }
 
 // Epoch returns the number of batches applied.

@@ -51,12 +51,42 @@ func randRaw(rng *rand.Rand, nv, n int) [][]uint32 {
 	return out
 }
 
+// extendedPatterns adds shapes whose anchor-first matching orders differ
+// from the structural order: a 4-edge chain (structural order starts at an
+// inner edge) and a cycle (every edge is some anchor's first). The chain's
+// hyperedges are listed out of path order (path 0-3-1-2), so an anchor
+// plan binds a higher-indexed hyperedge before a lower one and a rule keyed
+// on matching-order position instead of pattern-edge index miscounts.
+func extendedPatterns() []*pattern.Pattern {
+	return append(testPatterns(),
+		pattern.MustNew([][]uint32{{0, 1}, {2, 3}, {3, 4}, {1, 2}}, nil),
+		pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 0}}, nil),
+	)
+}
+
+// feedSpec shapes one scripted feed.
+type feedSpec struct {
+	pats []*pattern.Pattern
+	// retires: each batch retires up to two random live edges.
+	retires bool
+	// readd: each batch also retires one live edge and re-adds it.
+	readd bool
+}
+
+// feedStats sums what a feed exercised, so a case can assert it tested
+// something.
+type feedStats struct {
+	compactions, expired, refreshed int
+	added, retired                  []uint64 // per pattern
+}
+
 // feedAndCheck drives a scripted random stream against m, asserting after
 // every batch that each standing query's cumulative total exactly equals a
-// from-scratch mine of the live graph.
-func feedAndCheck(t *testing.T, m *Miner, rng *rand.Rand, nv, batches int, withRetires bool, opts engine.Options) {
+// from-scratch mine of the live graph, and that LatestDelta reproduces the
+// pushed delta.
+func feedAndCheck(t *testing.T, m *Miner, rng *rand.Rand, nv, batches int, spec feedSpec, opts engine.Options) feedStats {
 	t.Helper()
-	pats := testPatterns()
+	pats := spec.pats
 	infos := make([]QueryInfo, len(pats))
 	for i, p := range pats {
 		info, err := m.RegisterQuery(p)
@@ -65,9 +95,10 @@ func feedAndCheck(t *testing.T, m *Miner, rng *rand.Rand, nv, batches int, withR
 		}
 		infos[i] = info
 	}
+	st := feedStats{added: make([]uint64, len(pats)), retired: make([]uint64, len(pats))}
 	for b := 0; b < batches; b++ {
 		batch := Batch{Add: randRaw(rng, nv, 3+rng.Intn(5))}
-		if withRetires {
+		if spec.retires {
 			live := m.LiveEdgeSets()
 			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 			k := rng.Intn(3)
@@ -75,11 +106,20 @@ func feedAndCheck(t *testing.T, m *Miner, rng *rand.Rand, nv, batches int, withR
 				k = len(live)
 			}
 			batch.Retire = live[:k]
+			if spec.readd && len(live) > k {
+				batch.Retire = append(batch.Retire, live[k])
+				batch.Add = append(batch.Add, live[k])
+			}
 		}
 		res, err := m.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
+		if res.Compacted {
+			st.compactions++
+		}
+		st.expired += res.Expired
+		st.refreshed += res.Refreshed
 		if len(res.Deltas) != len(pats) {
 			t.Fatalf("batch %d: %d deltas for %d queries", b, len(res.Deltas), len(pats))
 		}
@@ -87,6 +127,8 @@ func feedAndCheck(t *testing.T, m *Miner, rng *rand.Rand, nv, batches int, withR
 		for i, p := range pats {
 			want := oracle(t, nv, sets, p, opts)
 			d := res.Deltas[i]
+			st.added[i] += d.Added
+			st.retired[i] += d.Retired
 			if d.QueryID != infos[i].ID {
 				t.Fatalf("batch %d: delta %d for query %d", b, i, d.QueryID)
 			}
@@ -104,14 +146,26 @@ func feedAndCheck(t *testing.T, m *Miner, rng *rand.Rand, nv, batches int, withR
 			if d.Unique != want/uint64(p.Automorphisms()) {
 				t.Fatalf("batch %d pattern %d: unique %d, want %d/%d", b, i, d.Unique, want, p.Automorphisms())
 			}
+			ld, err := m.LatestDelta(p)
+			if err != nil {
+				t.Fatalf("batch %d: LatestDelta: %v", b, err)
+			}
+			if ld.Epoch != d.Epoch || ld.Added != d.Added || ld.Retired != d.Retired ||
+				ld.AddedUnique != d.AddedUnique || ld.RetiredUnique != d.RetiredUnique {
+				t.Fatalf("batch %d pattern %d: LatestDelta %+v, pushed %+v", b, i, ld, d)
+			}
 		}
 	}
+	return st
 }
 
 // TestStreamDifferential is the acceptance-criteria suite: streamed
 // cumulative counts equal from-scratch TotalCount after every batch, for
 // add-only and add+retire sequences, on both kernel families. The "steal"
 // segment of the subtest IDs names the engine's work-stealing scheduler.
+// The window, readd and compact cases add window expiry and refreshes,
+// retire+re-add of one edge within a batch, and compactions mid-feed, over
+// patterns whose anchor-first orders differ from the structural one.
 func TestStreamDifferential(t *testing.T) {
 	const sched = "steal"
 	kernels := []struct {
@@ -139,7 +193,51 @@ func TestStreamDifferential(t *testing.T) {
 				if _, err := m.ApplyBatch(Batch{Add: randRaw(rng, 18, 12)}); err != nil {
 					t.Fatal(err)
 				}
-				feedAndCheck(t, m, rng, 18, 4, withRetires, opts)
+				feedAndCheck(t, m, rng, 18, 4, feedSpec{pats: testPatterns(), retires: withRetires}, opts)
+			})
+		}
+		cases := []struct {
+			mode string
+			cfg  Config
+			spec feedSpec
+		}{
+			{"window", Config{Window: 4}, feedSpec{retires: true}},
+			{"readd", Config{}, feedSpec{retires: true, readd: true}},
+			{"compact", Config{CompactFraction: 0.05, CompactMin: 2}, feedSpec{retires: true, readd: true}},
+		}
+		for ci, c := range cases {
+			t.Run(fmt.Sprintf("%s/%s/%s", kc.name, sched, c.mode), func(t *testing.T) {
+				const nv = 10
+				opts := engine.Options{Workers: 2, Kernel: kc.k}
+				cfg := c.cfg
+				cfg.NumVertices, cfg.Engine = nv, opts
+				m, err := NewMiner(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(len(kc.name)*100 + ci)))
+				if _, err := m.ApplyBatch(Batch{Add: randRaw(rng, nv, 14)}); err != nil {
+					t.Fatal(err)
+				}
+				spec := c.spec
+				spec.pats = extendedPatterns()
+				st := feedAndCheck(t, m, rng, nv, 10, spec, opts)
+				if c.cfg.CompactMin > 0 && st.compactions == 0 {
+					t.Fatal("no compaction mid-feed despite aggressive thresholds")
+				}
+				if c.cfg.Window > 0 && (st.expired == 0 || st.refreshed == 0) {
+					t.Fatalf("window feed expired %d and refreshed %d edges; want both", st.expired, st.refreshed)
+				}
+				// The extended shapes must see churn on both sides, or the
+				// case proves nothing about their anchor-first plans.
+				var added, retired uint64
+				for i := len(testPatterns()); i < len(spec.pats); i++ {
+					added += st.added[i]
+					retired += st.retired[i]
+				}
+				if added == 0 || retired == 0 {
+					t.Fatalf("extended patterns saw %d added and %d retired embeddings; want both", added, retired)
+				}
 			})
 		}
 	}

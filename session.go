@@ -239,7 +239,7 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 		mode: mode,
 		// Mirrors engine.CompilePlan's restriction gating so the key always
 		// names the plan that call will produce.
-		restricted: !o.NoSymmetryBreak && o.PositionFilter == nil,
+		restricted: !o.NoSymmetryBreak && !o.Anchored(),
 		dataAware:  o.DataAwareOrder,
 	}
 	canonical := false
@@ -296,14 +296,15 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 
 // resultCacheable reports whether a query's options allow answering it from
 // (and storing it into) the result cache: nothing about the run may observe
-// per-run state. Limits change the counts themselves, embedding callbacks
-// and checkpoint sinks are side effects the caller expects to fire, and
-// instrumented runs want freshly measured Stats. Deadlines merely bound the
+// per-run state. Limits and anchored runs (seeds and edge masks) change the
+// counts themselves, embedding callbacks and checkpoint sinks are side
+// effects the caller expects to fire, and instrumented runs want freshly
+// measured Stats. Deadlines merely bound the
 // run: a cached complete result satisfies any deadline, and truncated runs
 // are never stored.
 func resultCacheable(o engine.Options) bool {
 	return o.Limit == 0 && o.OnEmbedding == nil && o.Checkpoint == nil &&
-		o.PositionFilter == nil && !o.Instrument
+		!o.Anchored() && !o.Instrument
 }
 
 // resultKey is the result cache identity: the plan-cache key plus the
